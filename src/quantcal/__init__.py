@@ -40,7 +40,6 @@ from .models import (
     TrainConfig,
     ensemble_predict,
     ensemble_train,
-    ensemble_train_predict,
     load_params,
     mc_dropout_predict,
     mlp_forward,
@@ -84,7 +83,6 @@ __all__ = [
     "cre_empirical",
     "ensemble_predict",
     "ensemble_train",
-    "ensemble_train_predict",
     "fit_calibration_map",
     "gaussian_nll",
     "load_csv",

@@ -28,7 +28,7 @@ from scipy.stats import spearmanr
 from . import __version__
 from .datasets import Dataset, SplitSpec, load_csv, load_from_descriptor, make_splits, standardize, synth_hetero
 from .gaussian import pit
-from .metrics import MetricConfig, MetricsReport
+from .metrics import MetricConfig, MetricsReport, calibration_error
 from .models import (
     EnsembleConfig,
     TrainConfig,
@@ -40,7 +40,7 @@ from .models import (
     train,
 )
 from .recalib import apply_map, fit_calibration_map, save_map
-from .metrics import calibration_error
+from .softsort import SoftSortConfig
 
 DESK_EPOCHS = 25
 DESK_MAX_ROWS = 500
@@ -52,6 +52,7 @@ CALIB_SEED_OFFSET = 600000
 
 MODELS = ("mc_dropout", "ensemble")
 CALIB_SPLITS = ("train", "holdout")
+METRICS = ("calib_error", "rmse", "nll")
 
 METRICS_FIELDS = ("dataset", "model", "lam", "split", "n_train", "n_test", "calib_error", "rmse", "nll")
 RELIABILITY_FIELDS = ("dataset", "model", "lam", "split", "expected", "observed")
@@ -64,13 +65,41 @@ class ConfigError(Exception):
     pass
 
 
+# field annotation (a string: annotations are postponed) -> accepted types
+_FIELD_TYPES = {
+    "int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+    "list[float] | None": (list, type(None)),
+}
+
+
+def _has_type(value, types):
+    # bool subclasses int, so it passes only where it is named
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
+def _read_json_object(path):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    return raw
+
+
 @dataclass
 class ExperimentConfig:
     dataset: str = "synth_hetero"
     data_dir: str = "data"
     synth_n: int = 2000
     model: str = "mc_dropout"
-    lambdas: list | None = None
+    lambdas: list[float] | None = None
     learning_rate: float = 1e-2
     batch_size: int = 512
     epochs: int = 100
@@ -90,49 +119,51 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-            ) from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(raw, source=str(path))
+        return cls.from_dict(_read_json_object(path), source=str(path))
 
     @classmethod
     def from_dict(cls, raw, source="config"):
+        """Unvalidated config; call `validate` once every override is in."""
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ConfigError(f"{source}: unknown keys {unknown}; known keys: {sorted(known)}")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
     def validate(self):
+        """The one config gate: field types first, then every component
+        config the run will build, so each range rule lives in the
+        component that owns it and a bad value fails before data loads."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, list) else []
+            if not _has_type(value, _FIELD_TYPES[f.type]) or not all(
+                _has_type(v, (int, float)) for v in items
+            ):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.calib_split not in CALIB_SPLITS:
             raise ConfigError(
                 f"calib_split must be one of {CALIB_SPLITS}, got {self.calib_split!r}"
             )
-        if self.lambdas is not None:
-            if not self.lambdas:
-                raise ConfigError("lambdas must be a nonempty list when given")
-            if any(l < 0 for l in self.lambdas):
-                raise ConfigError(f"lambdas must be nonnegative, got {self.lambdas}")
-        for name in ("epochs", "batch_size", "mc_passes", "ensemble_size", "bins", "n_splits", "synth_n"):
+        if self.lambdas is not None and not self.lambdas:
+            raise ConfigError("lambdas must be a nonempty list when given")
+        for name in ("mc_passes", "synth_n"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        try:
+            self.split_spec()
+            self.metric_config()
+            SoftSortConfig(tau=self.tau)
+            self.ensemble_config()
+            for lam in self.resolved_lambdas("train"):
+                self.train_config(lam, split=0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # no component sees both fields
+        if self.model == "mc_dropout" and self.dropout_rate == 0.0:
+            raise ConfigError("model mc_dropout needs dropout_rate > 0, got 0")
 
     def resolved_lambdas(self, command):
         if self.lambdas is not None:
@@ -149,6 +180,23 @@ class ExperimentConfig:
 
     def train_seed(self, split):
         return self.seed + TRAIN_SEED_STRIDE * (split + 1)
+
+    def split_spec(self):
+        return SplitSpec(n_splits=self.n_splits, test_fraction=self.test_fraction, seed=self.seed)
+
+    def ensemble_config(self):
+        return EnsembleConfig(size=self.ensemble_size, adv_eps_scale=self.adv_eps_scale)
+
+    def train_config(self, lam, split):
+        return TrainConfig(
+            lam=lam,
+            learning_rate=self.learning_rate,
+            batch_size=self.batch_size,
+            epochs=self.effective_epochs(),
+            dropout_rate=self.dropout_rate,
+            tau=self.tau,
+            seed=self.train_seed(split),
+        )
 
 
 def _load_base_dataset(cfg):
@@ -167,34 +215,22 @@ def _load_base_dataset(cfg):
     return ds
 
 
-def _fit_rows(cfg, train_idx, split):
-    """Rows the model trains on, and rows reserved for fitting the
-    calibration map. `holdout` carves a seeded fifth of the train split off
-    before training so the map never sees training rows."""
-    if cfg.calib_split == "train":
-        return train_idx, train_idx
-    rng = np.random.default_rng(cfg.train_seed(split) + 17)
-    perm = rng.permutation(len(train_idx))
-    n_calib = max(1, int(round(0.2 * len(train_idx))))
-    calib = np.sort(train_idx[perm[:n_calib]])
-    fit = np.sort(train_idx[perm[n_calib:]])
-    return fit, calib
-
-
-def _train_one(cfg, std_train, lam, split):
-    tcfg = TrainConfig(
-        lam=lam,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        epochs=cfg.effective_epochs(),
-        dropout_rate=cfg.dropout_rate,
-        tau=cfg.tau,
-        seed=cfg.train_seed(split),
-    )
-    if cfg.model == "mc_dropout":
-        return [train(std_train, tcfg)]
-    ens = EnsembleConfig(size=cfg.ensemble_size, adv_eps_scale=cfg.adv_eps_scale)
-    return ensemble_train(std_train, tcfg, ens)
+def _split_runs(cfg, ds):
+    """The experiment loop every verb shares. Yields (split, fit_idx,
+    calib_idx, test_idx, transform) per seeded split: the rows the model
+    trains on, the rows that fit the calibration map, the test rows, and the
+    standardization fitted on the training rows. `holdout` carves a seeded
+    fifth of the train split off before training so the map never sees
+    training rows."""
+    for split, (train_idx, test_idx) in enumerate(make_splits(len(ds), cfg.split_spec())):
+        fit_idx = calib_idx = train_idx
+        if cfg.calib_split == "holdout":
+            perm = np.random.default_rng(cfg.train_seed(split) + 17).permutation(len(train_idx))
+            n_calib = max(1, int(round(0.2 * len(train_idx))))
+            calib_idx = np.sort(train_idx[perm[:n_calib]])
+            fit_idx = np.sort(train_idx[perm[n_calib:]])
+        _, transform = standardize(ds.subset(fit_idx))
+        yield split, fit_idx, calib_idx, test_idx, transform
 
 
 def _predict(cfg, members, x, seed):
@@ -238,7 +274,7 @@ def _summarize(metric_rows):
     summary = {}
     for key, rows in sorted(groups.items()):
         stats = {}
-        for metric in ("calib_error", "rmse", "nll"):
+        for metric in METRICS:
             vals = np.array([r[metric] for r in rows])
             std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
             stats[metric] = (float(vals.mean()), std)
@@ -246,24 +282,36 @@ def _summarize(metric_rows):
     return summary
 
 
+def _write_summary(out_dir, summary):
+    _write_csv(
+        out_dir / "summary.csv",
+        SUMMARY_FIELDS,
+        [
+            [dataset, model, _fmt(lam), metric, _fmt(mean), _fmt(std)]
+            for (dataset, model, lam), stats in summary.items()
+            for metric, (mean, std) in stats.items()
+        ],
+    )
+
+
 def _run_experiment(cfg, lambdas):
     """Train every (lambda, split) pair; returns metric rows, reliability
-    rows, and in-memory artifacts keyed by (lam, split)."""
+    rows, and the trained members keyed by (lam, split)."""
     ds = _load_base_dataset(cfg)
-    splits = make_splits(
-        len(ds), SplitSpec(n_splits=cfg.n_splits, test_fraction=cfg.test_fraction, seed=cfg.seed)
-    )
     mcfg = cfg.metric_config()
     metric_rows = []
     reliability_rows = []
-    artifacts = {}
-    for split, (train_idx, test_idx) in enumerate(splits):
-        fit_idx, calib_idx = _fit_rows(cfg, train_idx, split)
-        std_train, transform = standardize(ds.subset(fit_idx))
+    members_by_run = {}
+    for split, fit_idx, _, test_idx, transform in _split_runs(cfg, ds):
+        std_train = Dataset(*transform.apply(ds.features[fit_idx], ds.targets[fit_idx]))
         x_test, y_test_std = transform.apply(ds.features[test_idx], ds.targets[test_idx])
         for lam in lambdas:
+            tcfg = cfg.train_config(lam, split)
             try:
-                members = _train_one(cfg, std_train, lam, split)
+                if cfg.model == "mc_dropout":
+                    members = [train(std_train, tcfg)]
+                else:
+                    members = ensemble_train(std_train, tcfg, cfg.ensemble_config())
                 pred = _predict(
                     cfg, members, x_test, cfg.train_seed(split) + PREDICT_SEED_OFFSET
                 )
@@ -273,31 +321,16 @@ def _run_experiment(cfg, lambdas):
             report = MetricsReport.evaluate(
                 transform.inverse_predictions(pred), ds.targets[test_idx], pits, mcfg
             )
-            metric_rows.append(
-                {
-                    "dataset": cfg.dataset,
-                    "model": cfg.model,
-                    "lam": lam,
-                    "split": split,
-                    "n_train": len(fit_idx),
-                    "n_test": len(test_idx),
-                    "calib_error": report.calib_error,
-                    "rmse": report.rmse,
-                    "nll": report.nll,
-                }
-            )
+            row = (cfg.dataset, cfg.model, lam, split, len(fit_idx), len(test_idx),
+                   report.calib_error, report.rmse, report.nll)
+            metric_rows.append(dict(zip(METRICS_FIELDS, row)))
             for expected, observed in report.reliability:
                 reliability_rows.append((cfg.dataset, cfg.model, lam, split, expected, observed))
-            artifacts[(lam, split)] = {
-                "members": members,
-                "transform": transform,
-                "calib_idx": calib_idx,
-                "test_idx": test_idx,
-            }
-    return ds, metric_rows, reliability_rows, artifacts
+            members_by_run[(lam, split)] = members
+    return metric_rows, reliability_rows, members_by_run
 
 
-def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, artifacts):
+def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "models").mkdir(exist_ok=True)
     _write_csv(
@@ -310,14 +343,9 @@ def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, artifacts):
         RELIABILITY_FIELDS,
         [[_fmt(v) for v in row] for row in reliability_rows],
     )
-    summary = _summarize(metric_rows)
-    summary_rows = []
-    for (dataset, model, lam), stats in summary.items():
-        for metric, (mean, std) in stats.items():
-            summary_rows.append([dataset, model, _fmt(lam), metric, _fmt(mean), _fmt(std)])
-    _write_csv(out_dir / "summary.csv", SUMMARY_FIELDS, summary_rows)
-    for (lam, split), art in artifacts.items():
-        for member, path in zip(art["members"], _artifact_paths(out_dir, cfg, lam, split)):
+    _write_summary(out_dir, summary)
+    for (lam, split), members in members_by_run.items():
+        for member, path in zip(members, _artifact_paths(out_dir, cfg, lam, split)):
             save_params(member, path)
     resolved = dataclasses.asdict(cfg)
     resolved["version"] = __version__
@@ -326,38 +354,33 @@ def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, artifacts):
         fh.write("\n")
 
 
-def cmd_train(cfg):
-    lambdas = cfg.resolved_lambdas("train")
+def cmd_train(cfg, command="train"):
+    """`train`, or `sweep`: the same run over a wider default lambda grid,
+    plus the trade-off curve in curve.csv."""
+    lambdas = cfg.resolved_lambdas(command)
     out_dir = Path(cfg.out)
-    ds, metric_rows, reliability_rows, artifacts = _run_experiment(cfg, lambdas)
-    _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, artifacts)
+    metric_rows, reliability_rows, members_by_run = _run_experiment(cfg, lambdas)
     summary = _summarize(metric_rows)
-    for (dataset, model, lam), stats in summary.items():
-        mean, std = stats["calib_error"]
-        print(
-            f"{dataset} {model} lam={lam:g}: calib_error {mean:.4f} +/- {std:.4f}, "
-            f"rmse {stats['rmse'][0]:.4f}, nll {stats['nll'][0]:.4f}"
-        )
-    print(f"wrote {out_dir / 'metrics.csv'}")
-    return 0
-
-
-def cmd_sweep(cfg):
-    lambdas = cfg.resolved_lambdas("sweep")
-    out_dir = Path(cfg.out)
-    ds, metric_rows, reliability_rows, artifacts = _run_experiment(cfg, lambdas)
-    _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, artifacts)
-    summary = _summarize(metric_rows)
-    curve_rows = []
-    means = []
-    for lam in lambdas:
-        stats = summary[(cfg.dataset, cfg.model, lam)]
-        means.append(stats["calib_error"][0])
-        curve_rows.append(
-            [_fmt(lam)]
-            + [_fmt(v) for metric in ("calib_error", "rmse", "nll") for v in stats[metric]]
-        )
-    _write_csv(out_dir / "curve.csv", CURVE_FIELDS, curve_rows)
+    _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary)
+    if command != "sweep":
+        for (dataset, model, lam), stats in summary.items():
+            mean, std = stats["calib_error"]
+            print(
+                f"{dataset} {model} lam={lam:g}: calib_error {mean:.4f} +/- {std:.4f}, "
+                f"rmse {stats['rmse'][0]:.4f}, nll {stats['nll'][0]:.4f}"
+            )
+        print(f"wrote {out_dir / 'metrics.csv'}")
+        return 0
+    curve = [summary[(cfg.dataset, cfg.model, lam)] for lam in lambdas]
+    _write_csv(
+        out_dir / "curve.csv",
+        CURVE_FIELDS,
+        [
+            [_fmt(lam)] + [_fmt(v) for metric in METRICS for v in stats[metric]]
+            for lam, stats in zip(lambdas, curve)
+        ],
+    )
+    means = [stats["calib_error"][0] for stats in curve]
     for lam, mean in zip(lambdas, means):
         print(f"lam={lam:g}: mean calib_error {mean:.4f}")
     if len(lambdas) > 1:
@@ -367,49 +390,44 @@ def cmd_sweep(cfg):
     return 0
 
 
-def _load_artifacts(cfg, out_dir, lam, split):
-    paths = _artifact_paths(out_dir, cfg, lam, split)
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        raise FileNotFoundError(f"model artifact(s) not found: {missing}")
-    return [load_params(p) for p in paths]
-
-
-def cmd_recalibrate(cfg):
+def cmd_recalibrate(cfg, calib_split=None):
+    """Refit isotonic maps for the run in `cfg.out`, under its stored config.
+    The holdout carve is made before training, so an explicit `calib_split`
+    must match the stored one."""
     out_dir = Path(cfg.out)
     run_config_path = out_dir / "run_config.json"
     if not run_config_path.exists():
         raise ConfigError(
             f"{run_config_path} not found; run `quantcal train` into this directory first"
         )
-    with open(run_config_path) as fh:
-        stored = json.load(fh)
+    stored = _read_json_object(run_config_path)
     stored.pop("version", None)
-    run_cfg = ExperimentConfig.from_dict(stored, source=str(run_config_path))
-    # the stored run is authoritative for everything except the calibration
-    # data choice, which the user may override on the command line
-    run_cfg.calib_split = cfg.calib_split
-    cfg = run_cfg
+    cfg = ExperimentConfig.from_dict(stored, source=str(run_config_path))
+    cfg.validate()
+    if calib_split is not None and calib_split != cfg.calib_split:
+        raise ConfigError(
+            f"{out_dir} was trained with calib_split {cfg.calib_split!r}; retrain with "
+            f"`quantcal train --calib-split {calib_split}` to recalibrate on {calib_split} rows"
+        )
 
     lambdas = cfg.resolved_lambdas("train")
     ds = _load_base_dataset(cfg)
-    splits = make_splits(
-        len(ds), SplitSpec(n_splits=cfg.n_splits, test_fraction=cfg.test_fraction, seed=cfg.seed)
-    )
     mcfg = cfg.metric_config()
     (out_dir / "maps").mkdir(exist_ok=True)
     rows = []
-    for split, (train_idx, test_idx) in enumerate(splits):
-        fit_idx, calib_idx = _fit_rows(cfg, train_idx, split)
-        std_train, transform = standardize(ds.subset(fit_idx))
+    for split, _, calib_idx, test_idx, transform in _split_runs(cfg, ds):
         x_calib, y_calib = transform.apply(ds.features[calib_idx], ds.targets[calib_idx])
         x_test, y_test = transform.apply(ds.features[test_idx], ds.targets[test_idx])
         for lam in lambdas:
-            members = _load_artifacts(cfg, out_dir, lam, split)
-            if members[0].n_features != std_train.n_features:
+            paths = _artifact_paths(out_dir, cfg, lam, split)
+            missing = [str(p) for p in paths if not p.exists()]
+            if missing:
+                raise FileNotFoundError(f"model artifact(s) not found: {missing}")
+            members = [load_params(p) for p in paths]
+            if members[0].n_features != x_test.shape[1]:
                 raise ValueError(
                     f"artifact for lam={lam:g} split={split} expects "
-                    f"{members[0].n_features} features, dataset has {std_train.n_features}"
+                    f"{members[0].n_features} features, dataset has {x_test.shape[1]}"
                 )
             seed = cfg.train_seed(split)
             pred_calib = _predict(cfg, members, x_calib, seed + CALIB_SEED_OFFSET)
@@ -419,27 +437,12 @@ def cmd_recalibrate(cfg):
             pits = pit(pred_test, y_test)
             pre = calibration_error(pits, mcfg)
             post = calibration_error(apply_map(cal_map, pits), mcfg)
-            rows.append(
-                {
-                    "dataset": cfg.dataset,
-                    "model": cfg.model,
-                    "lam": lam,
-                    "split": split,
-                    "pre_calib_error": pre,
-                    "post_calib_error": post,
-                    "flag": "*" if post > pre else "",
-                }
-            )
-    _write_csv(
-        out_dir / "recalib.csv",
-        RECALIB_FIELDS,
-        [[_fmt(r[f]) for f in RECALIB_FIELDS] for r in rows],
-    )
-    for r in rows:
+            rows.append((cfg.dataset, cfg.model, lam, split, pre, post, "*" if post > pre else ""))
+    _write_csv(out_dir / "recalib.csv", RECALIB_FIELDS, [[_fmt(v) for v in r] for r in rows])
+    for dataset, model, lam, split, pre, post, flag in rows:
         print(
-            f"{r['dataset']} {r['model']} lam={r['lam']:g} split={r['split']}: "
-            f"calib_error {r['pre_calib_error']:.4f} -> {r['post_calib_error']:.4f}"
-            f"{r['flag']}"
+            f"{dataset} {model} lam={lam:g} split={split}: "
+            f"calib_error {pre:.4f} -> {post:.4f}{flag}"
         )
     print(f"wrote {out_dir / 'recalib.csv'}")
     return 0
@@ -470,9 +473,7 @@ def cmd_report(cfg):
             "model": r["model"],
             "lam": float(r["lam"]),
             "split": int(r["split"]),
-            "calib_error": float(r["calib_error"]),
-            "rmse": float(r["rmse"]),
-            "nll": float(r["nll"]),
+            **{metric: float(r[metric]) for metric in METRICS},
         }
         for r in raw
     ]
@@ -480,8 +481,7 @@ def cmd_report(cfg):
     lambdas = sorted({key[2] for key in summary})
     groups = sorted({(key[0], key[1]) for key in summary})
     lines = []
-    summary_rows = []
-    for metric in ("calib_error", "rmse", "nll"):
+    for metric in METRICS:
         lines.append(f"== {metric} (mean +/- std over splits; best per row in **bold**) ==")
         header = ["dataset/model"] + [f"lam={lam:g}" for lam in lambdas]
         lines.append(" | ".join(header))
@@ -497,7 +497,6 @@ def cmd_report(cfg):
                 mean, std = stats[metric]
                 means.append(mean)
                 cells.append(f"{mean:.4f} +/- {std:.4f}")
-                summary_rows.append([dataset, model, _fmt(lam), metric, _fmt(mean), _fmt(std)])
             for i, bold in enumerate(_bold_pair(means)):
                 if bold and cells[i] != "-":
                     cells[i] = f"**{cells[i]}**"
@@ -525,7 +524,7 @@ def cmd_report(cfg):
                 )
             lines.append("")
     text = "\n".join(lines)
-    _write_csv(out_dir / "summary.csv", SUMMARY_FIELDS, summary_rows)
+    _write_summary(out_dir, summary)
     with open(out_dir / "report.txt", "w") as fh:
         fh.write(text)
     print(text)
@@ -556,23 +555,15 @@ def build_parser():
         p.add_argument("--desk-scale", action="store_true", default=None,
                        help=f"cap epochs at {DESK_EPOCHS} and rows at {DESK_MAX_ROWS}")
         p.add_argument("--calib-split", choices=CALIB_SPLITS,
-                       help="rows used to fit the isotonic map (default train)")
+                       help="rows used to fit the isotonic map, chosen at train time (default train)")
         p.add_argument("--model", choices=MODELS, help="uncertainty model")
     return parser
 
 
 def _config_from_args(args):
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {
-        "dataset": args.dataset,
-        "lambdas": args.lambdas,
-        "seed": args.seed,
-        "out": args.out,
-        "desk_scale": args.desk_scale,
-        "calib_split": args.calib_split,
-        "model": args.model,
-    }
-    for key, value in overrides.items():
+    for key in ("dataset", "lambdas", "seed", "out", "desk_scale", "calib_split", "model"):
+        value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, value)
     cfg.validate()
@@ -581,15 +572,13 @@ def _config_from_args(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    handlers = {
-        "train": cmd_train,
-        "recalibrate": cmd_recalibrate,
-        "sweep": cmd_sweep,
-        "report": cmd_report,
-    }
     try:
         cfg = _config_from_args(args)
-        return handlers[args.command](cfg)
+        if args.command == "recalibrate":
+            return cmd_recalibrate(cfg, args.calib_split)
+        if args.command == "report":
+            return cmd_report(cfg)
+        return cmd_train(cfg, args.command)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

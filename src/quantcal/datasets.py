@@ -179,6 +179,8 @@ class SplitSpec:
             raise ValueError(
                 f"SplitSpec: test_fraction must be in (0, 1), got {self.test_fraction}"
             )
+        if self.seed < 0:
+            raise ValueError(f"SplitSpec: seed must be nonnegative, got {self.seed}")
 
 
 def make_splits(n, spec=SplitSpec()):

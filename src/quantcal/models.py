@@ -309,10 +309,6 @@ def ensemble_predict(members, x):
     return aggregate_ensemble([predict(m, x) for m in members])
 
 
-def ensemble_train_predict(dataset, x, cfg, ens_cfg=EnsembleConfig(), member_seeds=None):
-    return ensemble_predict(ensemble_train(dataset, cfg, ens_cfg, member_seeds), x)
-
-
 def save_params(params, path):
     """Little-endian binary dump: magic, version, shapes, float64 data."""
     arrays = params.arrays()

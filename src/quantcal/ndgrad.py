@@ -177,30 +177,11 @@ def negate(a):
     return _result("negate", -a.value, (a,), lambda g: (-g,))
 
 
-def absolute(a):
-    a = as_node(a)
-    return _result(
-        "absolute", np.abs(a.value), (a,), lambda g: (g * np.sign(a.value),)
-    )
-
-
-def exp(a):
-    a = as_node(a)
-    value = np.exp(a.value)
-    return _result("exp", value, (a,), lambda g: (g * value,))
-
-
 def log(a):
     a = as_node(a)
     if np.any(a.value <= 0.0):
         raise ValueError("log: nonpositive argument (clamp before taking log)")
     return _result("log", np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
-def tanh(a):
-    a = as_node(a)
-    value = np.tanh(a.value)
-    return _result("tanh", value, (a,), lambda g: (g * (1.0 - value * value),))
 
 
 def relu(a):
@@ -316,21 +297,6 @@ def take(a, idx):
         return (buf,)
 
     return _result("take", value, (a,), backward)
-
-
-def concat(nodes, axis=0):
-    nodes = [as_node(n) for n in nodes]
-    if not nodes:
-        raise ValueError("concat: need at least one input")
-    sizes = [n.value.shape[axis] for n in nodes]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _result(
-        "concat", np.concatenate([n.value for n in nodes], axis=axis), nodes, backward
-    )
 
 
 def reshape(a, shape):

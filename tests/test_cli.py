@@ -64,6 +64,37 @@ def test_config_validation_errors():
         ExperimentConfig(test_fraction=2.0).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"epochs": "10"},
+        {"lambdas": 5},
+        {"lambdas": ["a"]},
+        {"n_splits": 2.0},
+        {"bins": 2.5},
+        {"percent": "no"},
+        {"mc_passes": True},
+        {"tau": 0},
+        {"batch_size": 1},
+        {"adv_eps_scale": -1, "model": "ensemble"},
+        {"dropout_rate": 0},
+        {"seed": -1},
+    ],
+    ids=json.dumps,
+)
+def test_config_errors_exit_2_before_data_loads(tmp_path, capsys, monkeypatch, overrides):
+    def no_data(cfg):
+        raise AssertionError("dataset loaded despite a config error")
+
+    monkeypatch.setattr(cli, "_load_base_dataset", no_data)
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, overrides), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(overrides)) in err
+    assert not out.exists()
+
+
 def test_bad_json_reports_line_and_column(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{\n  "epochs": oops\n}\n')
@@ -149,6 +180,10 @@ def test_train_determinism_byte_identical(tmp_path):
 def test_recalibrate_requires_run(tmp_path, capsys):
     assert main(["recalibrate", "--out", str(tmp_path / "none")]) == 2
     assert "run_config.json" in capsys.readouterr().err
+    for text, message in (('{"seed": ', "run_config.json:1:10"), ("[1]", "JSON object")):
+        (tmp_path / "run_config.json").write_text(text)
+        assert main(["recalibrate", "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_recalibrate_flags_degradations(tmp_path):
@@ -175,6 +210,25 @@ def test_recalibrate_holdout_mode(tmp_path):
     # the holdout carve shrinks the training rows
     rows = read_rows(out / "metrics.csv")
     assert int(rows[0]["n_train"]) < 120 - int(rows[0]["n_test"])
+
+
+@pytest.mark.parametrize("mode", cli.CALIB_SPLITS)
+def test_recalibrate_uses_stored_calib_split(tmp_path, capsys, mode):
+    out = tmp_path / "run"
+    main(["train", "--config", write_config(tmp_path, {"calib_split": mode}), "--out", str(out)])
+    assert main(["recalibrate", "--out", str(out)]) == 0
+    # the unrecalibrated score is the one train wrote, so both verbs
+    # standardized on the same rows
+    trained = {(r["lam"], r["split"]): r["calib_error"] for r in read_rows(out / "metrics.csv")}
+    rows = read_rows(out / "recalib.csv")
+    assert len(rows) == len(trained)
+    for r in rows:
+        assert r["pre_calib_error"] == trained[(r["lam"], r["split"])]
+    other = "train" if mode == "holdout" else "holdout"
+    capsys.readouterr()
+    assert main(["recalibrate", "--out", str(out), "--calib-split", other]) == 2
+    err = capsys.readouterr().err
+    assert f"--calib-split {other}" in err and err.count("\n") == 1
 
 
 def test_sweep_writes_curve_and_matches_train(tmp_path):
@@ -239,10 +293,12 @@ def test_report_includes_recalibration_table(tmp_path):
     out = tmp_path / "run"
     main(["train", "--config", write_config(tmp_path), "--out", str(out)])
     main(["recalibrate", "--out", str(out)])
+    trained_summary = (out / "summary.csv").read_bytes()
     main(["report", "--out", str(out)])
     text = (out / "report.txt").read_text()
     assert "recalibration" in text
     assert "splits worse" in text
+    assert (out / "summary.csv").read_bytes() == trained_summary
 
 
 def test_csv_path_dataset_roundtrip(tmp_path):

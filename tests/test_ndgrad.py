@@ -62,19 +62,15 @@ def test_binary_values_match_numpy(op, ref):
     [
         lambda x: (x * x + 2.0 * x).sum(),
         lambda x: (x / (x * x + 1.0)).sum(),
-        lambda x: nd.exp(x).mean(),
         lambda x: nd.log(x * x + 1.0).sum(),
-        lambda x: nd.tanh(x).sum(),
         lambda x: nd.relu(x).sum(),
         lambda x: nd.softplus(x).sum(),
-        lambda x: nd.absolute(x).sum(),
         lambda x: nd.std_normal_cdf(x).sum(),
         lambda x: (-x).sum(),
         lambda x: nd.softmax(x.reshape((2, 4))).reshape((8,))[2:6].sum(),
         lambda x: nd.clip(x, -0.5, 0.5).sum(),
         lambda x: nd.pairwise_abs_diff(x).mean(),
         lambda x: (x[1:] - x[:-1]).sum() + x[np.array([0, 0, 3])].sum(),
-        lambda x: nd.concat([x[:3] * 2.0, x[3:]]).sum(),
         lambda x: x.reshape((4, 2)).mean(axis=1).sum(),
         lambda x: x.reshape((2, 4)).sum(axis=0, keepdims=True).mean(),
     ],
@@ -158,7 +154,7 @@ def test_log_nonpositive_raises():
 def test_nonfinite_result_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
-            nd.exp(np.array([1000.0]))
+            nd.multiply(np.array([1e200]), np.array([1e200]))
 
 
 def test_softmax_rows_sum_to_one():
@@ -217,11 +213,6 @@ def test_reduce_mean_axis_tuple():
     assert nd.finite_diff_check(lambda n: nd.reduce_mean(n, axis=(0, 2)).sum(), x) < 1e-7
 
 
-def test_concat_empty_rejected():
-    with pytest.raises(ValueError, match="concat"):
-        nd.concat([])
-
-
 def test_finite_diff_check_validates():
     with pytest.raises(ValueError, match="h must be positive"):
         nd.finite_diff_check(lambda x: x.sum(), np.ones(2), h=0.0)
@@ -237,7 +228,7 @@ def test_composite_gradient_property(seed):
     w = nd.constant(rng.normal(size=(3, 2)))
 
     def f(leaf):
-        h = nd.tanh(nd.matmul(leaf, w))
-        return (nd.softplus(h) * nd.exp(-0.1 * h)).mean()
+        h = nd.softplus(nd.matmul(leaf, w))
+        return (h * nd.log(h + 1.0)).mean()
 
     assert nd.finite_diff_check(f, x) < 1e-5
