@@ -125,8 +125,6 @@ def quantile_reg_loss(y, mu, sigma, config=SoftSortConfig()):
             f"quantile_reg_loss: shapes differ (mu {mu.shape}, sigma "
             f"{sigma.shape}, y {y.shape})"
         )
-    if config.order != "ascending":
-        config = SoftSortConfig(tau=config.tau, order="ascending")
     c = nd.std_normal_cdf((nd.constant(y) - mu) / sigma)
     c = nd.clip(c, PIT_EPS, 1.0 - PIT_EPS)
     s = soft_sorted(c, config)

@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,6 +142,10 @@ class ExperimentConfig:
                 _has_type(v, (int, float)) for v in items
             ):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            # json reads NaN and Infinity; ints are always finite
+            floats = [v for v in [*items, value] if isinstance(v, float)]
+            if not all(math.isfinite(v) for v in floats):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.calib_split not in CALIB_SPLITS:

@@ -98,7 +98,8 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     """Read a numeric CSV into a Dataset.
 
     target_column: name (requires a header) or integer position, negatives
-    allowed. Any non-numeric cell raises with its row and column.
+    allowed. Any non-numeric or non-finite cell raises with its row and
+    column.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -134,6 +135,14 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
                     f"load_csv: non-numeric value {cell!r} at row {r}, "
                     f"column {c} ({header[c]})"
                 ) from None
+    # float() accepts 'nan' and 'inf'; one vectorized pass finds the first
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(
+            f"load_csv: non-finite value {rows[r][c]!r} at row {r}, "
+            f"column {c} ({header[c]})"
+        )
     feature_cols = [i for i in range(width) if i != target_idx]
     names = [header[i] for i in feature_cols]
     return Dataset(data[:, feature_cols], data[:, target_idx], names)

@@ -14,6 +14,7 @@ batch PIT values (see ckl.total_loss), optimized with Adam.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -323,29 +324,48 @@ def save_params(params, path):
 
 
 def load_params(path):
+    """Read a file written by `save_params`. A malformed file (wrong magic
+    or version, truncated, trailing bytes, or shapes that do not chain into
+    the d -> 128 -> 128 -> 2 network) raises a ValueError naming `path`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"load_params: {path} is not a model file")
-    version, count = struct.unpack_from("<II", blob, 4)
+    offset = 4
+
+    def read(fmt):
+        nonlocal offset
+        size = struct.calcsize(fmt)
+        if offset + size > len(blob):
+            raise ValueError(f"load_params: {path} is truncated")
+        values = struct.unpack_from(fmt, blob, offset)
+        offset += size
+        return values
+
+    version, count = read("<II")
     if version != _FORMAT_VERSION:
-        raise ValueError(f"load_params: unsupported format version {version}")
+        raise ValueError(f"load_params: {path} has unsupported format version {version}")
     if count != len(_PARAM_NAMES):
-        raise ValueError(f"load_params: expected {len(_PARAM_NAMES)} arrays, got {count}")
-    offset = 12
+        raise ValueError(
+            f"load_params: {path} holds {count} arrays, expected {len(_PARAM_NAMES)}"
+        )
     shapes = []
     for _ in range(count):
-        (ndim,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        shapes.append(shape)
-    arrays = []
-    for shape in shapes:
-        n = int(np.prod(shape)) if shape else 1
-        a = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += 8 * n
-        arrays.append(nd.param(a))
-    if offset != len(blob):
+        (ndim,) = read("<I")
+        shapes.append(read(f"<{ndim}I"))
+    d = shapes[0][0] if shapes[0] else 0
+    h = HIDDEN_WIDTH
+    expected = [(d, h), (h,), (h, h), (h,), (h, 2), (2,)]
+    if d < 1 or shapes != expected:
+        raise ValueError(f"load_params: {path} has shapes {shapes}, expected {expected}")
+    sizes = [math.prod(shape) for shape in shapes]
+    extra = len(blob) - offset - 8 * sum(sizes)
+    if extra < 0:
+        raise ValueError(f"load_params: {path} is truncated")
+    if extra > 0:
         raise ValueError(f"load_params: trailing bytes in {path}")
+    arrays = []
+    for shape, n in zip(shapes, sizes):
+        arrays.append(nd.param(np.frombuffer(blob, "<f8", n, offset).reshape(shape)))
+        offset += 8 * n
     return MlpParams(*arrays)

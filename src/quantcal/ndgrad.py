@@ -6,7 +6,7 @@ incoming gradient to per-parent gradients. `gradients` walks the graph once
 in reverse topological order, accumulating additively over fan-out.
 
 The op set is deliberately small: exactly what heteroscedastic MLP heads,
-Gaussian CDFs, softmax-based sorting relaxations and input-gradient
+Gaussian CDFs, the fused soft sort (in `softsort`) and input-gradient
 computation require. Everything runs in 64-bit floats; any op producing a
 NaN/Inf raises instead of propagating it.
 """
@@ -71,23 +71,17 @@ class Node:
     def __rtruediv__(self, other):
         return divide(other, self)
 
-    def __neg__(self):
-        return negate(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __getitem__(self, idx):
         return take(self, idx)
 
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return reduce_sum(self)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
+    def mean(self):
+        return reduce_mean(self)
 
 
 def constant(value):
@@ -172,11 +166,6 @@ def divide(a, b):
     )
 
 
-def negate(a):
-    a = as_node(a)
-    return _result("negate", -a.value, (a,), lambda g: (-g,))
-
-
 def log(a):
     a = as_node(a)
     if np.any(a.value <= 0.0):
@@ -207,20 +196,6 @@ def clip(a, lo, hi):
     )
 
 
-def softmax(a, axis=-1):
-    """Row-wise softmax along `axis` (max-shifted for stability)."""
-    a = as_node(a)
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    value = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * value).sum(axis=axis, keepdims=True)
-        return (value * (g - inner),)
-
-    return _result("softmax", value, (a,), backward)
-
-
 def matmul(a, b):
     a, b = as_node(a), as_node(b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -232,46 +207,24 @@ def matmul(a, b):
     return _result("matmul", a.value @ b.value, (a, b), backward)
 
 
-def reduce_sum(a, axis=None, keepdims=False):
+def reduce_sum(a):
+    """Sum of every entry, as a scalar node."""
     a = as_node(a)
-    value = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.value.shape).copy(),)
-
-    return _result("sum", value, (a,), backward)
-
-
-def reduce_mean(a, axis=None, keepdims=False):
-    a = as_node(a)
-    value = a.value.mean(axis=axis, keepdims=keepdims)
-    count = a.value.size if axis is None else np.prod(
-        [a.value.shape[ax] for ax in np.atleast_1d(axis)]
+    return _result(
+        "sum", a.value.sum(), (a,), lambda g: (np.broadcast_to(g, a.value.shape).copy(),)
     )
 
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, a.value.shape).copy(),)
 
-    return _result("mean", value, (a,), backward)
-
-
-def pairwise_abs_diff(a):
-    """|s_i - s_j| matrix of a 1-d vector; sign(0) = 0 keeps ties smooth."""
+def reduce_mean(a):
+    """Mean of every entry, as a scalar node."""
     a = as_node(a)
-    if a.value.ndim != 1:
-        raise ValueError(f"pairwise_abs_diff: expected 1-d input, got {a.shape}")
-    diff = a.value[:, None] - a.value[None, :]
-    sgn = np.sign(diff)
-
-    def backward(g):
-        gs = g * sgn
-        return (gs.sum(axis=1) - gs.sum(axis=0),)
-
-    return _result("pairwise_abs_diff", np.abs(diff), (a,), backward)
+    count = a.value.size
+    return _result(
+        "mean",
+        a.value.mean(),
+        (a,),
+        lambda g: (np.broadcast_to(g / count, a.value.shape).copy(),),
+    )
 
 
 def std_normal_cdf(a):
@@ -297,16 +250,6 @@ def take(a, idx):
         return (buf,)
 
     return _result("take", value, (a,), backward)
-
-
-def reshape(a, shape):
-    a = as_node(a)
-    return _result(
-        "reshape",
-        a.value.reshape(shape),
-        (a,),
-        lambda g: (g.reshape(a.value.shape),),
-    )
 
 
 def dropout(a, mask, rate):

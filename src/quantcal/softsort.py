@@ -2,11 +2,10 @@
 
 Row i of the relaxed permutation matrix is
 
-    softmax(((n + 1 - 2i) * s - A @ 1) / tau),   A[j, k] = |s_j - s_k|
+    softmax(((2i - n - 1) * s - A @ 1) / tau),   A[j, k] = |s_j - s_k|
 
-which at low temperature concentrates on the index of the i-th largest
-entry. Ascending order just reverses the row coefficients (n + 1 - 2i),
-which is the same as flipping the rows of the descending matrix.
+which at low temperature concentrates on the index of the i-th smallest
+entry, so the sorted vector P @ s is ascending.
 
 As tau -> 0 the matrix approaches the exact permutation; as tau grows the
 rows flatten toward uniform and sorted values shrink toward the mean.
@@ -19,34 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndgrad as nd
-from .ndgrad import Node
-
-_ORDERS = ("ascending", "descending")
 
 
 @dataclass(frozen=True)
 class SoftSortConfig:
     tau: float = 0.1
-    order: str = "ascending"
 
     def __post_init__(self):
         if not self.tau > 0.0:
             raise ValueError(f"SoftSortConfig: tau must be positive, got {self.tau}")
-        if self.order not in _ORDERS:
-            raise ValueError(
-                f"SoftSortConfig: order must be one of {_ORDERS}, got {self.order!r}"
-            )
-
-
-def _permutation_node(s, config):
-    n = s.value.shape[0]
-    coef = (n + 1 - 2 * np.arange(1, n + 1)).astype(np.float64)
-    if config.order == "ascending":
-        coef = coef[::-1].copy()
-    abs_diff = nd.pairwise_abs_diff(s)  # (n, n), symmetric
-    col_sums = abs_diff.sum(axis=0, keepdims=True)  # (1, n): sum_k |s_j - s_k|
-    scores = nd.matmul(nd.constant(coef[:, None]), s.reshape((1, n)))
-    return nd.softmax((scores - col_sums) / config.tau, axis=-1)
 
 
 def _check_input(s):
@@ -55,23 +35,52 @@ def _check_input(s):
         raise ValueError(f"soft sort: expected a 1-d vector, got shape {node.shape}")
     if node.value.shape[0] == 0:
         raise ValueError("soft sort: empty input")
+    if not np.all(np.isfinite(node.value)):
+        raise ValueError("soft sort: non-finite input")
     return node
 
 
-def soft_permutation(s, config=SoftSortConfig()):
-    """Relaxed permutation matrix for `s`. Rows sum to one.
+def _permutation(v, tau):
+    """(P, diff, coef) for a 1-d vector v, with diff[j, k] = v_j - v_k and
+    coef the row coefficients 2i - n - 1."""
+    n = v.shape[0]
+    coef = (2 * np.arange(1, n + 1) - n - 1).astype(np.float64)
+    diff = v[:, None] - v[None, :]
+    col_sums = np.abs(diff).sum(axis=0, keepdims=True)  # (1, n): sum_k |v_j - v_k|
+    # every matmul here and in the backward keeps its (n, 1) / (1, n) shapes:
+    # BLAS may round other shapes differently, and saved models depend on
+    # these bits
+    scores = (coef[:, None] @ v.reshape((1, n)) - col_sums) / tau
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True), diff, coef
 
-    Returns a Node when given a Node, otherwise a plain ndarray.
-    """
-    node = _check_input(s)
-    out = _permutation_node(node, config)
-    return out if isinstance(s, Node) else out.value
+
+def soft_permutation(s, config=SoftSortConfig()):
+    """Relaxed permutation matrix for `s` as an ndarray. Rows sum to one."""
+    return _permutation(_check_input(s).value, config.tau)[0]
 
 
 def soft_sorted(s, config=SoftSortConfig()):
-    """Relaxed sorted vector: each entry a convex combination of inputs."""
+    """Relaxed sorted vector: each entry a convex combination of inputs.
+
+    One tape op; the backward is the closed form through the softmax, the
+    score matrix and the column sums of |s_j - s_k|. Its three terms are
+    added in a fixed order (column sums, scores, P^T g) because the sum's
+    rounding reaches every trained model.
+    """
     node = _check_input(s)
-    n = node.value.shape[0]
-    perm = _permutation_node(node, config)
-    out = nd.matmul(perm, node.reshape((n, 1))).reshape((n,))
-    return out if isinstance(s, Node) else out.value
+    v = node.value
+    n = v.shape[0]
+    tau = config.tau
+    p, diff, coef = _permutation(v, tau)
+
+    def backward(g):
+        gp = g.reshape((n, 1)) @ v.reshape((1, n))
+        gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) / tau
+        gs = -gz.sum(axis=0, keepdims=True) * np.sign(diff)
+        grad = gs.sum(axis=1) - gs.sum(axis=0)
+        grad = grad + (coef[:, None].T @ gz).reshape((n,))
+        return (grad + (p.T @ g.reshape((n, 1))).reshape((n,)),)
+
+    out = nd._result("soft_sorted", (p @ v.reshape((n, 1))).reshape((n,)), (node,), backward)
+    return out if isinstance(s, nd.Node) else out.value

@@ -138,15 +138,6 @@ def test_loss_gradients():
     )
 
 
-def test_loss_forces_ascending_order():
-    y, mu, sigma = make_instance(5, 16)
-    a = quantile_reg_loss(y, nd.constant(mu), nd.constant(sigma), SoftSortConfig(tau=0.1))
-    b = quantile_reg_loss(
-        y, nd.constant(mu), nd.constant(sigma), SoftSortConfig(tau=0.1, order="descending")
-    )
-    assert a.item() == b.item()
-
-
 def test_loss_validation():
     with pytest.raises(ValueError, match="at least 2"):
         quantile_reg_loss(np.ones(1), nd.constant(np.ones(1)), nd.constant(np.ones(1)))

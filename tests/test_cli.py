@@ -79,6 +79,10 @@ def test_config_validation_errors():
         {"adv_eps_scale": -1, "model": "ensemble"},
         {"dropout_rate": 0},
         {"seed": -1},
+        {"lambdas": [float("nan")]},
+        {"learning_rate": float("nan")},
+        {"adv_eps_scale": float("inf"), "model": "ensemble"},
+        {"tau": float("inf")},
     ],
     ids=json.dumps,
 )

@@ -81,6 +81,12 @@ def test_load_csv_errors(tmp_path):
     alpha = write_csv(tmp_path / "a.csv", "a,b\n1,x\n")
     with pytest.raises(ValueError, match=r"non-numeric value 'x' at row 0, column 1 \(b\)"):
         load_csv(alpha)
+    nan = write_csv(tmp_path / "n.csv", "a,b\n1,2\n3,nan\n")
+    with pytest.raises(ValueError, match=r"non-finite value 'nan' at row 1, column 1 \(b\)"):
+        load_csv(nan)
+    inf = write_csv(tmp_path / "i.csv", "a,b\n-inf,2\n")
+    with pytest.raises(ValueError, match=r"non-finite value '-inf' at row 0, column 0 \(a\)"):
+        load_csv(inf)
     header_only = write_csv(tmp_path / "h.csv", "a,b\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_csv(header_only)

@@ -1,6 +1,11 @@
+import contextlib
+import json
+import types
+
 import numpy as np
 import pytest
 
+from quantcal import cli, models
 from quantcal import ndgrad as nd
 from quantcal.datasets import Dataset, synth_hetero
 from quantcal.gaussian import gaussian_nll
@@ -309,7 +314,7 @@ def test_save_load_roundtrip(tmp_path):
     assert all(node.requires_grad for node in loaded.nodes())
 
 
-def test_load_rejects_corrupt_files(tmp_path):
+def test_load_rejects_corrupt_files(tmp_path, monkeypatch, capsys):
     path = tmp_path / "model.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="not a model file"):
@@ -320,6 +325,36 @@ def test_load_rejects_corrupt_files(tmp_path):
     path.write_bytes(blob + b"\x00")
     with pytest.raises(ValueError, match="trailing bytes"):
         load_params(path)
+    arrays = params.arrays()
+    arrays[2] = np.zeros((HIDDEN_WIDTH, 64))
+    save_params(MlpParams(*map(nd.param, arrays)), path)
+    with pytest.raises(ValueError, match=r"shapes .*\(128, 64\)"):
+        load_params(path)
+    # the CLI turns a truncated model into exit 1 and one line naming it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth_n": 60, "epochs": 1, "n_splits": 2,
+                                  "lambdas": [0.0], "mc_passes": 2}))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
+    model = out / "models" / "mc_dropout_lam0_split0.bin"
+    model.write_bytes(model.read_bytes()[:200])
+    capsys.readouterr()
+    assert cli.main(["recalibrate", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(model) in err
+    # every proper prefix, served from memory: writing ~130k files would
+    # dominate the test
+    view = memoryview(blob)
+    prefix = 0
+    fake = contextlib.nullcontext(types.SimpleNamespace(read=lambda: view[:prefix]))
+    monkeypatch.setattr(models, "open", lambda p, mode: fake, raising=False)
+    for prefix in range(len(blob)):
+        try:
+            load_params(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            pytest.fail(f"a {prefix}-byte prefix loaded")
 
 
 def test_loaded_params_are_trainable(tmp_path):
