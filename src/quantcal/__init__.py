@@ -50,11 +50,9 @@ from .models import (
 from .recalib import (
     CalibrationMap,
     apply_map,
-    build_recalibration_dataset,
     fit_calibration_map,
     load_map,
     pav,
-    recalibrated_pit,
     save_map,
 )
 from .softsort import SoftSortConfig, soft_permutation, soft_sorted
@@ -77,7 +75,6 @@ __all__ = [
     "aggregate_ensemble",
     "aggregate_mc",
     "apply_map",
-    "build_recalibration_dataset",
     "calibration_error",
     "ckl_uniform",
     "cre_empirical",
@@ -98,7 +95,6 @@ __all__ = [
     "predict",
     "predictive_nll",
     "quantile_reg_loss",
-    "recalibrated_pit",
     "reliability_curve",
     "rmse",
     "save_map",

@@ -60,7 +60,6 @@ class Dataset:
     features: np.ndarray
     targets: np.ndarray
     feature_names: list = field(default_factory=list)
-    standardization: Standardization | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -86,12 +85,7 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, idx):
-        return Dataset(
-            self.features[idx],
-            self.targets[idx],
-            list(self.feature_names),
-            self.standardization,
-        )
+        return Dataset(self.features[idx], self.targets[idx], list(self.feature_names))
 
 
 def load_csv(path, target_column=-1, delimiter=",", has_header=True):
@@ -103,7 +97,10 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+        try:
+            rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+        except csv.Error as exc:
+            raise ValueError(f"load_csv: {path}: {exc}") from None
     if not rows:
         raise ValueError(f"load_csv: {path} is empty")
     if has_header:
@@ -121,20 +118,25 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     else:
         target_idx = int(target_column) % len(header)
     width = len(header)
-    data = np.empty((len(rows), width))
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(
                 f"load_csv: row {r} has {len(row)} cells, expected {width}"
             )
-        for c, cell in enumerate(row):
-            try:
-                data[r, c] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"load_csv: non-numeric value {cell!r} at row {r}, "
-                    f"column {c} ({header[c]})"
-                ) from None
+    try:
+        # numpy parses each string with Python's float(): same spellings, same bits
+        data = np.array(rows, dtype=np.float64)
+    except ValueError:
+        for r, row in enumerate(rows):
+            for c, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"load_csv: non-numeric value {cell!r} at row {r}, "
+                        f"column {c} ({header[c]})"
+                    ) from None
+        raise
     # float() accepts 'nan' and 'inf'; one vectorized pass finds the first
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
@@ -172,7 +174,7 @@ def standardize(dataset, train_idx=None):
     transform = Standardization(mean[kept], std[kept], t_mean, t_std, kept)
     z, t = transform.apply(dataset.features, dataset.targets)
     names = [dataset.feature_names[i] for i in kept]
-    return Dataset(z, t, names, transform), transform
+    return Dataset(z, t, names), transform
 
 
 @dataclass(frozen=True)

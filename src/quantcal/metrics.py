@@ -7,7 +7,6 @@ p_i)^2, optionally times 100 to read as squared percentage points.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +76,6 @@ class MetricsReport:
     n: int
     reliability: list = field(default_factory=list)
 
-    CSV_FIELDS = ("n", "calib_error", "rmse", "nll")
-
     @classmethod
     def evaluate(cls, preds, y, pits, config=MetricConfig()):
         return cls(
@@ -88,18 +85,3 @@ class MetricsReport:
             n=int(np.asarray(y).shape[0]),
             reliability=reliability_curve(pits, config),
         )
-
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "calib_error": self.calib_error,
-            "rmse": self.rmse,
-            "nll": self.nll,
-            "reliability": self.reliability,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    def csv_row(self):
-        return [str(self.n), repr(self.calib_error), repr(self.rmse), repr(self.nll)]

@@ -1,10 +1,13 @@
 """Post-hoc isotonic recalibration of PIT values.
 
 Given held-out (or training) predictions, the empirical frequency
-P_hat(c) = fraction of PITs <= c is regressed isotonically on c. Applying
-the fitted monotone map to future PITs pushes their distribution toward
-uniform, assuming the miscalibration pattern generalizes. The map is kept
-as piecewise-linear knots pinned at (0, 0) and (1, 1).
+P_hat(c) = fraction of PITs <= c is regressed isotonically on c. That fit
+is the empirical CDF (ECDF) of the calibration PITs itself, so a map fitted
+on a split sends that split's PITs to their own ECDF levels, as uniform as
+their ties allow, whatever other PITs look like. Applying the map to future
+PITs pushes their distribution toward uniform only insofar as the
+miscalibration pattern generalizes. The map is kept as piecewise-linear
+knots pinned at (0, 0) and (1, 1).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import load_csv
 from .gaussian import pit
 
 
@@ -31,6 +35,8 @@ class CalibrationMap:
             raise ValueError("CalibrationMap: knot arrays must be 1-d and equal length")
         if self.knots_p.shape[0] < 2:
             raise ValueError("CalibrationMap: need at least 2 knots")
+        if not (np.all(np.isfinite(self.knots_p)) and np.all(np.isfinite(self.knots_r))):
+            raise ValueError("CalibrationMap: knots must be finite")
         if np.any(np.diff(self.knots_p) <= 0):
             raise ValueError("CalibrationMap: knot positions must strictly increase")
         if np.any(np.diff(self.knots_r) < 0):
@@ -41,25 +47,13 @@ class CalibrationMap:
             raise ValueError("CalibrationMap: values must run from 0 to 1")
 
 
-def build_recalibration_dataset(preds, y):
-    """Sorted PIT values and their empirical CDF levels.
-
-    Returns (c, p_hat) with c ascending and p_hat[i] the fraction of PITs
-    <= c[i]; ties share the same (maximal) level.
-    """
-    c = np.sort(pit(preds, y))
-    n = c.shape[0]
-    if n == 0:
-        raise ValueError("build_recalibration_dataset: empty predictions")
-    p_hat = np.searchsorted(c, c, side="right") / n
-    return c, p_hat
-
-
 def pav(x, y):
     """Isotonic regression by pool-adjacent-violators, unit weights.
 
-    x must be ascending (it only orders the points); returns the
-    nondecreasing fit, one value per input, minimizing sum (fit - y)^2.
+    The isotonic primitive; no CLI verb calls it, because the isotonic fit
+    of ECDF levels needs no pooling (see `fit_calibration_map`). x must be
+    ascending (it only orders the points); returns the nondecreasing fit,
+    one value per input, minimizing sum (fit - y)^2.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -86,16 +80,17 @@ def pav(x, y):
 def fit_calibration_map(preds, y):
     """Isotonic fit of empirical CDF levels on PIT values, as a map.
 
-    Note this interpolates monotone training data exactly (up to pooling of
-    ties), so a map fitted on the training split reproduces that split's
-    quirks; fitting on held-out data is the safer route when there is
-    enough of it.
+    The fit is the ECDF of the PITs, so a map fitted on the training split
+    reproduces that split's quirks; fitting on held-out data is the safer
+    route when there is enough of it.
     """
-    c, p_hat = build_recalibration_dataset(preds, y)
-    fit = pav(c, p_hat)
-    # one knot per distinct PIT; ties already share a fitted value
-    keep = np.concatenate([np.diff(c) > 0, [True]])
-    knots_p, knots_r = c[keep], fit[keep]
+    c = pit(preds, y)
+    if len(c) == 0:
+        raise ValueError("fit_calibration_map: empty predictions")
+    # The ECDF levels (fraction of PITs <= c) are nondecreasing in c, so
+    # their isotonic fit is themselves: one knot per distinct PIT.
+    knots_p, counts = np.unique(c, return_counts=True)
+    knots_r = np.cumsum(counts) / len(c)
     if knots_p[0] > 0.0:
         knots_p = np.concatenate([[0.0], knots_p])
         knots_r = np.concatenate([[0.0], knots_r])
@@ -118,11 +113,6 @@ def apply_map(cal_map, p):
     return float(out) if np.isscalar(p) else out
 
 
-def recalibrated_pit(cal_map, preds, y):
-    """PIT values pushed through a fitted calibration map."""
-    return apply_map(cal_map, pit(preds, y))
-
-
 def save_map(cal_map, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -132,9 +122,12 @@ def save_map(cal_map, path):
 
 
 def load_map(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["p", "r"]:
-        raise ValueError(f"load_map: {path} is not a calibration map file")
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
-    return CalibrationMap(data[:, 0], data[:, 1])
+    """Read a map written by `save_map`; any malformed file raises a
+    ValueError that names it."""
+    try:
+        data = load_csv(path, target_column="r")
+        if data.feature_names != ["p"]:
+            raise ValueError("expected the two columns p and r")
+        return CalibrationMap(data.features[:, 0], data.targets)
+    except ValueError as exc:
+        raise ValueError(f"load_map: {path} is not a calibration map file: {exc}") from None

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -111,16 +109,3 @@ def test_report_accepts_external_pits():
     pred = GaussianPrediction(np.zeros(2), np.ones(2))
     report = MetricsReport.evaluate(pred, y, np.array([0.25, 0.75]))
     assert report.rmse == rmse(pred, y)
-
-
-def test_report_serialization_roundtrip():
-    report = MetricsReport(
-        calib_error=0.125, rmse=1.5, nll=2.25, n=7, reliability=[(0.5, 0.4)]
-    )
-    as_dict = json.loads(report.to_json())
-    assert as_dict["calib_error"] == 0.125
-    assert as_dict["n"] == 7
-    row = report.csv_row()
-    assert row[0] == "7"
-    assert [float(v) for v in row[1:]] == [0.125, 1.5, 2.25]
-    assert list(MetricsReport.CSV_FIELDS) == ["n", "calib_error", "rmse", "nll"]

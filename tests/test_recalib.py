@@ -1,21 +1,42 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import minimax_isotonic
-from quantcal.gaussian import GaussianPrediction
+from quantcal.gaussian import GaussianPrediction, pit
 from quantcal.metrics import MetricConfig, calibration_error
 from quantcal.recalib import (
     CalibrationMap,
     apply_map,
-    build_recalibration_dataset,
     fit_calibration_map,
     load_map,
     pav,
-    recalibrated_pit,
     save_map,
 )
+
+
+def pav_calibration_map(c):
+    """The isotonic map built the long way, as a reference: PAV on the
+    searchsorted ECDF levels of the sorted PITs, one knot per distinct PIT
+    (the last of each tie), pinned at (0, 0) and (1, 1)."""
+    c = np.sort(c)
+    fit = pav(c, np.searchsorted(c, c, side="right") / c.shape[0])
+    keep = np.concatenate([np.diff(c) > 0, [True]])
+    knots_p, knots_r = c[keep], fit[keep]
+    if knots_p[0] > 0.0:
+        knots_p = np.concatenate([[0.0], knots_p])
+        knots_r = np.concatenate([[0.0], knots_r])
+    else:
+        knots_r[0] = 0.0
+    if knots_p[-1] < 1.0:
+        knots_p = np.concatenate([knots_p, [1.0]])
+        knots_r = np.concatenate([knots_r, [1.0]])
+    else:
+        knots_r[-1] = 1.0
+    return knots_p, knots_r
 
 
 def test_pav_matches_minimax_oracle():
@@ -54,15 +75,39 @@ def test_pav_validation():
         pav(np.array([]), np.array([]))
 
 
-def test_build_recalibration_dataset_hand_case():
+def test_fit_calibration_map_hand_case():
     pred = GaussianPrediction(np.zeros(4), np.ones(4))
     from scipy.special import ndtri
 
     pits = np.array([0.2, 0.4, 0.4, 0.9])
-    y = ndtri(pits)  # targets whose PITs are exactly `pits`
-    c, p_hat = build_recalibration_dataset(pred, y)
-    assert np.allclose(c, [0.2, 0.4, 0.4, 0.9], atol=1e-12)
-    assert np.allclose(p_hat, [0.25, 0.75, 0.75, 1.0])
+    y = ndtri(pits)  # targets whose PITs are `pits` to within rounding
+    cal = fit_calibration_map(pred, y)
+    assert np.allclose(cal.knots_p, [0.0, 0.2, 0.4, 0.9, 1.0], atol=1e-12)
+    assert np.array_equal(cal.knots_r, [0.0, 0.25, 0.75, 1.0, 1.0])
+    with pytest.raises(ValueError, match="empty"):
+        fit_calibration_map(GaussianPrediction(np.zeros(0), np.ones(0)), np.zeros(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            # +-50 standard deviations give PITs of exactly 0.0 and 1.0
+            st.sampled_from([-50.0, -1.0, 0.0, 0.5, 50.0]),
+            st.floats(-9.0, 9.0),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    st.floats(0.1, 3.0),
+)
+def test_ecdf_map_equals_pav_construction(values, scale):
+    y = np.array(values)
+    pred = GaussianPrediction(np.zeros(len(y)), np.full(len(y), scale))
+    cal = fit_calibration_map(pred, y)
+    knots_p, knots_r = pav_calibration_map(pit(pred, y))
+    assert cal.knots_p.tobytes() == knots_p.tobytes()
+    assert cal.knots_r.tobytes() == knots_r.tobytes()
 
 
 def test_calibration_map_validation():
@@ -77,6 +122,10 @@ def test_calibration_map_validation():
         CalibrationMap(np.array([0.0, 1.0]), np.array([0.1, 1.0]))
     with pytest.raises(ValueError, match="at least 2"):
         CalibrationMap(np.array([0.0]), np.array([0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        CalibrationMap(np.array([0.0, np.nan, 1.0]), np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        CalibrationMap(np.array([0.0, 0.5, 1.0]), np.array([0.0, np.inf, 1.0]))
 
 
 def test_apply_map_interpolates_and_pins_endpoints():
@@ -107,8 +156,8 @@ def test_same_data_fit_restores_calibration():
     y = rng.standard_normal(800) * 2.0
     pred = GaussianPrediction(np.zeros(800), np.ones(800))
     cal = fit_calibration_map(pred, y)
-    before = recalibrated_pit(CalibrationMap([0, 1], [0, 1]), pred, y)
-    after = recalibrated_pit(cal, pred, y)
+    before = pit(pred, y)
+    after = apply_map(cal, pit(pred, y))
     cfg = MetricConfig(bins=20, percent=False)
     assert calibration_error(after, cfg) < 0.05 * calibration_error(before, cfg)
     assert calibration_error(after, cfg) < 1 / 20 + 1 / 800
@@ -132,10 +181,25 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_load_map_rejects_other_files(tmp_path):
+    malformed = [
+        b"a,b\n1,2\n",
+        b"",
+        b"p,r\n",  # header only
+        b"p,r\n0,0\n1\n",  # short row
+        b"p,r\n0,0\nx,0.5\n1,1\n",
+        b"p,r\n0,0\nnan,0.5\n1,1\n",
+        b"p,r\n0,0\n",  # one knot
+        b"p,r,q\n0,0,0\n1,1,1\n",
+        b"p,r\n0,0\n0.5,0.7\n0.4,0.6\n1,1\n",  # positions not increasing
+        b"p,r\n0,0\n" + b"1" * 200_000 + b",1\n",  # past the csv field limit
+        b"p,r\n\xff\xfe,0\n1,1\n",  # not text
+    ]
     path = tmp_path / "junk.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="not a calibration map"):
-        load_map(path)
+    for content in malformed:
+        path.write_bytes(content)
+        message = re.escape(f"load_map: {path} is not a calibration map file")
+        with pytest.raises(ValueError, match=message):
+            load_map(path)
 
 
 @settings(max_examples=50, deadline=None)
