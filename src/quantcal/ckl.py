@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import ndgrad as nd
 from .gaussian import gaussian_nll
@@ -31,6 +32,7 @@ from .softsort import SoftSortConfig, soft_sorted
 # PIT values are clamped into [PIT_EPS, 1 - PIT_EPS] inside the loss so the
 # (1 - c) ln(1 - c) term stays differentiable at the boundary.
 PIT_EPS = 1e-6
+INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 _WEIGHT_CACHE = {}
 
@@ -107,16 +109,57 @@ def ckl_uniform(samples):
     )
 
 
+def _clipped_pit(y, mu, sigma):
+    """Phi((y - mu) / sigma) clamped into [PIT_EPS, 1 - PIT_EPS], one tape
+    op; the backward uses the exact normal density."""
+    if np.any(sigma.value == 0.0):
+        raise ValueError("quantile_reg_loss: zero sigma")
+    d = y - mu.value
+    z = d / sigma.value
+    u = ndtr(z)
+    mask = (u >= PIT_EPS) & (u <= 1.0 - PIT_EPS)
+
+    def backward(g):
+        gz = (g * mask) * INV_SQRT_2PI * np.exp(-0.5 * z * z)
+        return -(gz / sigma.value), -gz * d / (sigma.value * sigma.value)
+
+    c = np.clip(u, PIT_EPS, 1.0 - PIT_EPS)
+    return nd._result("clipped_pit", c, (mu, sigma), backward)
+
+
+def _ckl_estimate(s, c):
+    """The exact estimator on soft-sorted PITs s (gap term) and raw PITs c
+    (expectation term), one tape op."""
+    n = c.value.shape[0]
+    w = _gap_weights(n)
+    om = 1.0 - c.value
+    lom = np.log(om)
+
+    def backward(g):
+        gw = g * w
+        gs = np.zeros(n)
+        gs[1:] += gw
+        gs[:-1] -= gw
+        ge = g / n
+        return gs, -(ge * lom + (ge * om) / om)
+
+    value = (w * (s.value[1:] - s.value[:-1])).sum() + (om * lom).mean() + 0.5
+    return nd._result("ckl_estimate", value, (s, c), backward)
+
+
 def quantile_reg_loss(y, mu, sigma, config=SoftSortConfig()):
     """Differentiable divergence of predicted PIT values from uniformity.
 
-    PITs are computed on the tape via the exact normal CDF, clamped away
-    from {0, 1}, and ordered with the sorting relaxation; only the gap term
-    needs the ordering, the expectation term uses the raw clamped values.
+    Three tape ops: the PITs via the exact normal CDF, clamped away from
+    {0, 1}; the sorting relaxation; the estimator, whose gap term uses the
+    ordering and whose expectation term uses the raw clamped values. The
+    expressions and their order are fixed because their rounding reaches
+    every trained model; a test holds them to the generic tape chain bit
+    for bit.
     """
     y = np.asarray(y, dtype=np.float64)
-    mu = nd.as_node(mu)
-    sigma = nd.as_node(sigma)
+    mu = nd.constant(mu)
+    sigma = nd.constant(sigma)
     n = y.shape[0]
     if n < 2:
         raise ValueError(f"quantile_reg_loss: need at least 2 points, got {n}")
@@ -125,13 +168,8 @@ def quantile_reg_loss(y, mu, sigma, config=SoftSortConfig()):
             f"quantile_reg_loss: shapes differ (mu {mu.shape}, sigma "
             f"{sigma.shape}, y {y.shape})"
         )
-    c = nd.std_normal_cdf((nd.constant(y) - mu) / sigma)
-    c = nd.clip(c, PIT_EPS, 1.0 - PIT_EPS)
-    s = soft_sorted(c, config)
-    gap_term = (nd.constant(_gap_weights(n)) * (s[1:] - s[:-1])).sum()
-    one_minus = 1.0 - c
-    expectation_term = (one_minus * nd.log(one_minus)).mean()
-    return gap_term + expectation_term + 0.5
+    c = _clipped_pit(y, mu, sigma)
+    return _ckl_estimate(soft_sorted(c, config), c)
 
 
 def total_loss(y, mu, sigma, lam, config=SoftSortConfig()):

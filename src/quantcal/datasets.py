@@ -150,15 +150,12 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     return Dataset(data[:, feature_cols], data[:, target_idx], names)
 
 
-def standardize(dataset, train_idx=None):
-    """Zero-mean unit-variance copy of a dataset.
-
-    Statistics come from `train_idx` rows when given (the usual
-    train-then-apply-everywhere protocol) and from all rows otherwise.
-    Returns (standardized dataset, transform).
+def standardize(dataset):
+    """Zero-mean unit-variance copy of a dataset, with statistics from all
+    of its rows. Returns (standardized dataset, transform); to standardize
+    other rows the same way, fit on a subset and use `transform.apply`.
     """
-    idx = np.arange(len(dataset)) if train_idx is None else np.asarray(train_idx)
-    f = dataset.features[idx]
+    f = dataset.features
     mean = f.mean(axis=0)
     std = f.std(axis=0)
     kept = np.flatnonzero(std > 0.0)
@@ -167,8 +164,8 @@ def standardize(dataset, train_idx=None):
         warnings.warn(f"standardize: dropping constant feature columns {dropped}")
     if kept.size == 0:
         raise ValueError("standardize: every feature column is constant")
-    t_mean = float(dataset.targets[idx].mean())
-    t_std = float(dataset.targets[idx].std())
+    t_mean = float(dataset.targets.mean())
+    t_std = float(dataset.targets.std())
     if t_std == 0.0:
         raise ValueError("standardize: target is constant on the fitting rows")
     transform = Standardization(mean[kept], std[kept], t_mean, t_std, kept)

@@ -126,7 +126,7 @@ def mlp_forward(params, x, dropout_masks=None, dropout_rate=0.0):
     `dropout_masks` is an optional pair of 0/1 arrays shaped (n, 128),
     sampled by the caller so that passes can be replayed exactly.
     """
-    x = nd.as_node(x)
+    x = nd.constant(x)
     if x.value.ndim != 2:
         raise ValueError(f"mlp_forward: expected (n, d) input, got shape {x.shape}")
     h = nd.relu(x @ params.w1 + params.b1)
@@ -141,9 +141,15 @@ def mlp_forward(params, x, dropout_masks=None, dropout_rate=0.0):
     return mu, sigma
 
 
+def _frozen(params):
+    """The same weights as constant leaves: a forward pass on them keeps no
+    tape graph, so each intermediate is freed as soon as it is used."""
+    return MlpParams(*map(nd.constant, params.arrays()))
+
+
 def predict(params, x):
     """Deterministic single forward pass (no dropout)."""
-    mu, sigma = mlp_forward(params, np.asarray(x, dtype=np.float64))
+    mu, sigma = mlp_forward(_frozen(params), np.asarray(x, dtype=np.float64))
     return GaussianPrediction(mu.value, sigma.value)
 
 
@@ -273,33 +279,28 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
             f"mc_dropout_predict: dropout_rate must be in (0, 1), got {dropout_rate}"
         )
     x = np.asarray(x, dtype=np.float64)
+    frozen = _frozen(params)
     rng = np.random.default_rng(seed)
     preds = []
     for _ in range(passes):
         masks = _sample_masks(rng, x.shape[0], dropout_rate)
-        mu, sigma = mlp_forward(params, x, masks, dropout_rate)
+        mu, sigma = mlp_forward(frozen, x, masks, dropout_rate)
         preds.append(GaussianPrediction(mu.value, sigma.value))
     return aggregate_mc(preds)
 
 
-def ensemble_train(dataset, cfg, ens_cfg=EnsembleConfig(), member_seeds=None):
-    """Train `ens_cfg.size` members; each sees the same data but a different
-    seed, trains without dropout, and adds an FGSM-perturbed loss term."""
-    if member_seeds is None:
-        member_seeds = [cfg.seed + m for m in range(ens_cfg.size)]
-    if len(member_seeds) != ens_cfg.size:
-        raise ValueError(
-            f"ensemble_train: got {len(member_seeds)} seeds for "
-            f"{ens_cfg.size} members"
-        )
+def ensemble_train(dataset, cfg, ens_cfg=EnsembleConfig()):
+    """Train `ens_cfg.size` members; member m sees the same data with seed
+    `cfg.seed + m`, trains without dropout, and adds an FGSM-perturbed loss
+    term."""
     x = np.asarray(dataset.features, dtype=np.float64)
     adv_eps = None
     if ens_cfg.adv_eps_scale > 0.0:
         adv_eps = ens_cfg.adv_eps_scale * (x.max(axis=0) - x.min(axis=0))
     member_cfg = replace(cfg, dropout_rate=0.0)
     return [
-        train(dataset, replace(member_cfg, seed=s), adv_eps=adv_eps)
-        for s in member_seeds
+        train(dataset, replace(member_cfg, seed=cfg.seed + m), adv_eps=adv_eps)
+        for m in range(ens_cfg.size)
     ]
 
 

@@ -5,18 +5,17 @@ value, references to its parent nodes, and a backward closure that maps the
 incoming gradient to per-parent gradients. `gradients` walks the graph once
 in reverse topological order, accumulating additively over fan-out.
 
-The op set is deliberately small: exactly what heteroscedastic MLP heads,
-Gaussian CDFs, the fused soft sort (in `softsort`) and input-gradient
-computation require. Everything runs in 64-bit floats; any op producing a
-NaN/Inf raises instead of propagating it.
+The op set is deliberately small: exactly what the heteroscedastic MLP and
+its input gradient require. The losses (`gaussian.gaussian_nll`,
+`ckl.quantile_reg_loss`) and the soft sort (`softsort.soft_sorted`) are
+fused ops of their own modules, built on `_result`. Everything runs in
+64-bit floats; any op producing a NaN/Inf raises instead of propagating it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit, ndtr
-
-INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+from scipy.special import expit
 
 
 class Node:
@@ -26,11 +25,13 @@ class Node:
 
     def __init__(self, value, requires_grad=False, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.parents = tuple(parents)
         self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in self.parents
+            p.requires_grad for p in parents
         )
-        self._backward = backward
+        # a node no gradient can flow through keeps no graph, so a forward
+        # pass on constants frees its intermediates as soon as it moves on
+        self.parents = tuple(parents) if self.requires_grad else ()
+        self._backward = backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -50,26 +51,11 @@ class Node:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
-
     def __mul__(self, other):
         return multiply(self, other)
 
     def __rmul__(self, other):
         return multiply(other, self)
-
-    def __truediv__(self, other):
-        return divide(self, other)
-
-    def __rtruediv__(self, other):
-        return divide(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -80,22 +66,16 @@ class Node:
     def sum(self):
         return reduce_sum(self)
 
-    def mean(self):
-        return reduce_mean(self)
-
 
 def constant(value):
-    """Wrap an array as a tape leaf that never receives a gradient."""
+    """Wrap an array as a tape leaf that never receives a gradient; a Node
+    passes through unchanged."""
     return value if isinstance(value, Node) else Node(value)
 
 
 def param(value):
     """Wrap an array as a trainable tape leaf."""
     return Node(np.array(value, dtype=np.float64), requires_grad=True)
-
-
-def as_node(value):
-    return value if isinstance(value, Node) else Node(value)
 
 
 def _result(name, value, parents, backward):
@@ -119,7 +99,7 @@ def _unbroadcast(grad, shape):
 
 
 def _binary(name, a, b, fwd, bwd_a, bwd_b):
-    a, b = as_node(a), as_node(b)
+    a, b = constant(a), constant(b)
     try:
         value = fwd(a.value, b.value)
     except ValueError as exc:
@@ -140,41 +120,14 @@ def add(a, b):
     return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
-def subtract(a, b):
-    return _binary(
-        "subtract", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g
-    )
-
-
 def multiply(a, b):
     return _binary(
         "multiply", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x
     )
 
 
-def divide(a, b):
-    b_node = as_node(b)
-    if np.any(b_node.value == 0.0):
-        raise ValueError("divide: zero in denominator (clamp before dividing)")
-    return _binary(
-        "divide",
-        a,
-        b_node,
-        np.divide,
-        lambda g, x, y: g / y,
-        lambda g, x, y: -g * x / (y * y),
-    )
-
-
-def log(a):
-    a = as_node(a)
-    if np.any(a.value <= 0.0):
-        raise ValueError("log: nonpositive argument (clamp before taking log)")
-    return _result("log", np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
 def relu(a):
-    a = as_node(a)
+    a = constant(a)
     return _result(
         "relu", np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),)
     )
@@ -182,22 +135,13 @@ def relu(a):
 
 def softplus(a):
     """log(1 + exp(x)), computed stably; gradient is the logistic sigmoid."""
-    a = as_node(a)
+    a = constant(a)
     value = np.logaddexp(0.0, a.value)
     return _result("softplus", value, (a,), lambda g: (g * expit(a.value),))
 
 
-def clip(a, lo, hi):
-    """Clamp into [lo, hi]; gradient passes through where the input was in range."""
-    a = as_node(a)
-    mask = (a.value >= lo) & (a.value <= hi)
-    return _result(
-        "clip", np.clip(a.value, lo, hi), (a,), lambda g: (g * mask,)
-    )
-
-
 def matmul(a, b):
-    a, b = as_node(a), as_node(b)
+    a, b = constant(a), constant(b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
@@ -209,39 +153,15 @@ def matmul(a, b):
 
 def reduce_sum(a):
     """Sum of every entry, as a scalar node."""
-    a = as_node(a)
+    a = constant(a)
     return _result(
         "sum", a.value.sum(), (a,), lambda g: (np.broadcast_to(g, a.value.shape).copy(),)
     )
 
 
-def reduce_mean(a):
-    """Mean of every entry, as a scalar node."""
-    a = as_node(a)
-    count = a.value.size
-    return _result(
-        "mean",
-        a.value.mean(),
-        (a,),
-        lambda g: (np.broadcast_to(g / count, a.value.shape).copy(),),
-    )
-
-
-def std_normal_cdf(a):
-    """Standard normal CDF; backward uses the exact density, not a
-    derivative of the CDF approximation."""
-    a = as_node(a)
-    value = ndtr(a.value)
-
-    def backward(g):
-        return (g * INV_SQRT_2PI * np.exp(-0.5 * a.value * a.value),)
-
-    return _result("std_normal_cdf", value, (a,), backward)
-
-
 def take(a, idx):
     """Indexing/slicing; the backward scatters the gradient back in place."""
-    a = as_node(a)
+    a = constant(a)
     value = a.value[idx]
 
     def backward(g):
@@ -258,7 +178,7 @@ def dropout(a, mask, rate):
     The mask is sampled outside the tape (from a seeded RNG) so forward
     passes are replayable.
     """
-    a = as_node(a)
+    a = constant(a)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     mask = np.asarray(mask, dtype=np.float64)

@@ -30,7 +30,7 @@ class SoftSortConfig:
 
 
 def _check_input(s):
-    node = nd.as_node(s)
+    node = nd.constant(s)
     if node.value.ndim != 1:
         raise ValueError(f"soft sort: expected a 1-d vector, got shape {node.shape}")
     if node.value.shape[0] == 0:

@@ -107,9 +107,12 @@ def test_standardize_population_stats():
 def test_standardize_respects_train_idx():
     ds = Dataset(np.arange(10.0)[:, None], np.arange(10.0))
     idx = np.arange(5)
-    std, tf = standardize(ds, train_idx=idx)
-    assert abs(std.features[:5, 0].mean()) < 1e-12
-    assert std.features[9, 0] > std.features[4, 0]
+    fitted, tf = standardize(ds.subset(idx))
+    z, t = tf.apply(ds.features, ds.targets)
+    assert np.array_equal(z[:5], fitted.features)
+    assert np.array_equal(t[:5], fitted.targets)
+    assert abs(z[:5, 0].mean()) < 1e-12
+    assert z[9, 0] > z[4, 0]
     assert tf.target_mean == 2.0
 
 

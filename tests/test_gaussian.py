@@ -14,7 +14,6 @@ from quantcal.gaussian import (
     aggregate_mc,
     gaussian_nll,
     pit,
-    sigma_clamp_events,
 )
 
 
@@ -68,7 +67,7 @@ def test_nll_value_matches_plain_formula():
     mu = rng.normal(size=50)
     sigma = rng.uniform(0.5, 2.0, size=50)
     y = rng.normal(size=50)
-    node = gaussian_nll(nd.as_node(mu), nd.as_node(sigma), y)
+    node = gaussian_nll(nd.constant(mu), nd.constant(sigma), y)
     want = np.mean(0.5 * LOG_2PI + np.log(sigma) + 0.5 * ((y - mu) / sigma) ** 2)
     assert abs(node.item() - want) < 1e-12
 
@@ -86,17 +85,14 @@ def test_nll_gradients():
 
 
 def test_nll_clamps_tiny_sigma_and_counts():
-    sigma_clamp_events.reset()
     y = np.zeros(3)
     mu = nd.constant(np.zeros(3))
     bad = nd.param(np.array([1.0, 1e-9, 1.0]))
     node = gaussian_nll(mu, bad, y)
-    assert sigma_clamp_events.count == 1
     assert np.isfinite(node.item())
     # the clamp kills the gradient where it is active
     (g,) = nd.gradients(node, [bad])
     assert g[1] == 0.0 and g[0] != 0.0
-    sigma_clamp_events.reset()
 
 
 def test_nll_shape_mismatch():

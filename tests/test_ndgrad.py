@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 from quantcal import ndgrad as nd
 
@@ -15,7 +14,7 @@ def grad_of(f, x):
 
 
 def test_node_wraps_float64():
-    node = nd.as_node([1, 2, 3])
+    node = nd.constant([1, 2, 3])
     assert node.value.dtype == np.float64
     assert node.shape == (3,)
     assert node.size == 3
@@ -37,23 +36,29 @@ def test_requires_grad_propagates():
     assert not (b + b).requires_grad
 
 
+def test_constant_results_keep_no_graph():
+    b = nd.constant([2.0])
+    out = nd.relu(b * b + 1.0)
+    assert out.parents == () and out._backward is None
+    a = nd.param([1.0])
+    assert len((a * b).parents) == 2
+
+
 def test_item_on_scalar():
-    assert nd.as_node(3.5).item() == 3.5
+    assert nd.constant(3.5).item() == 3.5
 
 
 @pytest.mark.parametrize(
     "op,ref",
     [
         (nd.add, np.add),
-        (nd.subtract, np.subtract),
         (nd.multiply, np.multiply),
-        (nd.divide, np.divide),
     ],
 )
 def test_binary_values_match_numpy(op, ref):
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(3, 4)) + 3.0  # keep denominators away from zero
+    b = rng.normal(size=(3, 4))
     assert np.array_equal(op(a, b).value, ref(a, b))
 
 
@@ -61,21 +66,21 @@ def test_binary_values_match_numpy(op, ref):
     "f",
     [
         lambda x: (x * x + 2.0 * x).sum(),
-        lambda x: (x / (x * x + 1.0)).sum(),
-        lambda x: nd.log(x * x + 1.0).sum(),
+        lambda x: (x * nd.softplus(x)).sum(),
+        lambda x: (nd.softplus(x * x + 1.0) * x).sum(),
         lambda x: nd.relu(x).sum(),
         lambda x: nd.softplus(x).sum(),
-        lambda x: nd.std_normal_cdf(x).sum(),
-        lambda x: (0.0 - x).sum(),
-        lambda x: (nd.softplus(x) / nd.softplus(x).sum() * x).sum(),
-        lambda x: nd.clip(x, -0.5, 0.5).sum(),
-        lambda x: ((x[:, None] - x[None, :]) * (x[:, None] - x[None, :])).mean(),
-        lambda x: (x[1:] - x[:-1]).sum() + x[np.array([0, 0, 3])].sum(),
+        lambda x: (nd.dropout(x, np.arange(8) % 3 > 0, 0.25) * x).sum(),
+        lambda x: (x * -1.0).sum(),
+        lambda x: (nd.softplus(x) * nd.softplus(x).sum() * x).sum(),
+        lambda x: nd.matmul(x[np.array([[0, 1], [2, 3]])], x[np.array([[4, 5], [6, 7]])]).sum(),
+        lambda x: ((x[:, None] + x[None, :] * -1.0) * (x[:, None] + x[None, :] * -1.0)).sum(),
+        lambda x: (x[1:] + x[:-1] * -1.0).sum() + x[np.array([0, 0, 3])].sum(),
     ],
 )
 def test_gradients_match_finite_differences(f):
     rng = np.random.default_rng(7)
-    # offsets keep relu/clip kinks off the sample points
+    # offsets keep relu kinks off the sample points
     x = rng.normal(size=8) + 0.05
     assert nd.finite_diff_check(f, x) < 1e-6
 
@@ -99,9 +104,9 @@ def test_broadcasting_gradients_unbroadcast():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(3, 4))
     row = rng.normal(size=(1, 4))
-    assert nd.finite_diff_check(lambda x: (nd.as_node(a) * x).sum(), row) < 1e-7
+    assert nd.finite_diff_check(lambda x: (nd.constant(a) * x).sum(), row) < 1e-7
     scalar = np.array(1.5)
-    assert nd.finite_diff_check(lambda x: (nd.as_node(a) + x).sum(), scalar) < 1e-7
+    assert nd.finite_diff_check(lambda x: (nd.constant(a) + x).sum(), scalar) < 1e-7
 
 
 def test_fanout_accumulates():
@@ -139,25 +144,10 @@ def test_deep_chain_no_recursion_limit():
     assert g[0] == 1.0
 
 
-def test_divide_by_zero_raises():
-    with pytest.raises(ValueError, match="zero in denominator"):
-        nd.divide(np.ones(2), np.array([1.0, 0.0]))
-
-
-def test_log_nonpositive_raises():
-    with pytest.raises(ValueError, match="log"):
-        nd.log(np.array([1.0, 0.0]))
-
-
 def test_nonfinite_result_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             nd.multiply(np.array([1e200]), np.array([1e200]))
-
-
-def test_clip_gradient_zero_outside_range():
-    g = grad_of(lambda x: nd.clip(x, -1.0, 1.0).sum(), np.array([-2.0, 0.5, 3.0]))
-    assert np.array_equal(g, [0.0, 1.0, 0.0])
 
 
 def test_take_with_duplicate_indices_accumulates():
@@ -177,17 +167,12 @@ def test_take_with_2d_slice():
 def test_dropout_scales_and_masks():
     x = np.ones((2, 3))
     mask = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-    out = nd.dropout(nd.as_node(x), mask, 0.25)
+    out = nd.dropout(nd.constant(x), mask, 0.25)
     assert np.allclose(out.value, mask / 0.75)
     with pytest.raises(ValueError, match="mask shape"):
-        nd.dropout(nd.as_node(x), np.ones(3), 0.25)
+        nd.dropout(nd.constant(x), np.ones(3), 0.25)
     with pytest.raises(ValueError, match="rate"):
-        nd.dropout(nd.as_node(x), np.ones((2, 3)), 1.0)
-
-
-def test_std_normal_cdf_matches_scipy():
-    z = np.linspace(-6, 6, 25)
-    assert np.allclose(nd.std_normal_cdf(nd.as_node(z)).value, ndtr(z), atol=0)
+        nd.dropout(nd.constant(x), np.ones((2, 3)), 1.0)
 
 
 def test_finite_diff_check_validates():
@@ -206,6 +191,6 @@ def test_composite_gradient_property(seed):
 
     def f(leaf):
         h = nd.softplus(nd.matmul(leaf, w))
-        return (h * nd.log(h + 1.0)).mean()
+        return (h * nd.softplus(h)).sum()
 
     assert nd.finite_diff_check(f, x) < 1e-5
