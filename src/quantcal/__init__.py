@@ -6,7 +6,7 @@ dropout and deep-ensemble baselines, recalibrate post hoc with isotonic
 regression, and measure everything with quantile-calibration metrics.
 """
 
-from .ckl import CklEstimate, ckl_uniform, cre_empirical, quantile_reg_loss, total_loss
+from .ckl import CklEstimate, ckl_uniform, quantile_reg_loss, total_loss
 from .datasets import (
     Dataset,
     SplitSpec,
@@ -17,7 +17,6 @@ from .datasets import (
     make_splits,
     standardize,
     synth_hetero,
-    synth_hetero_truth,
 )
 from .gaussian import (
     GaussianPrediction,
@@ -77,7 +76,6 @@ __all__ = [
     "apply_map",
     "calibration_error",
     "ckl_uniform",
-    "cre_empirical",
     "ensemble_predict",
     "ensemble_train",
     "fit_calibration_map",
@@ -103,7 +101,6 @@ __all__ = [
     "soft_sorted",
     "standardize",
     "synth_hetero",
-    "synth_hetero_truth",
     "total_loss",
     "train",
 ]

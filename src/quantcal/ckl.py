@@ -68,25 +68,6 @@ class CklEstimate:
     expectation_term: float
 
 
-def cre_empirical(sorted_values):
-    """Cumulative residual entropy of the empirical distribution.
-
-    Expects an ascending vector (hard- or soft-sorted); returns a
-    nonnegative float, 0.0 for a single sample.
-    """
-    s = np.asarray(sorted_values, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError(f"cre_empirical: expected 1-d input, got shape {s.shape}")
-    n = s.shape[0]
-    if n == 0:
-        raise ValueError("cre_empirical: empty sample")
-    if n == 1:
-        return 0.0
-    if np.any(np.diff(s) < -1e-12):
-        raise ValueError("cre_empirical: input must be ascending")
-    return float(-np.dot(_gap_weights(n), np.diff(s)))
-
-
 def ckl_uniform(samples):
     """Exact cumulative KL divergence of the empirical law of `samples`
     (values in [0, 1]) against Uniform[0, 1]. Sorts internally."""

@@ -44,9 +44,6 @@ class Standardization:
         t = (np.asarray(targets, dtype=np.float64) - self.target_mean) / self.target_std
         return z, t
 
-    def inverse_targets(self, targets):
-        return np.asarray(targets, dtype=np.float64) * self.target_std + self.target_mean
-
     def inverse_predictions(self, preds):
         """Map a prediction on the standardized scale back to raw units."""
         return GaussianPrediction(
@@ -218,12 +215,6 @@ def synth_hetero(n, seed=0):
     x = rng.uniform(-2.0, 2.0, size=n)
     y = np.sin(2.0 * x) + (0.1 + 0.4 * np.abs(x)) * rng.standard_normal(n)
     return Dataset(x[:, None], y, ["x"])
-
-
-def synth_hetero_truth(features):
-    """The exact predictive law the synthetic generator draws from."""
-    x = np.asarray(features, dtype=np.float64).reshape(-1)
-    return GaussianPrediction(np.sin(2.0 * x), 0.1 + 0.4 * np.abs(x))
 
 
 def descriptor_names():

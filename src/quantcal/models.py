@@ -9,7 +9,10 @@ ReLU activations, sigma = softplus(raw) + 1e-6. On top of it:
   batch plus a fast-gradient-sign perturbed copy, no dropout.
 
 Training minimizes mean NLL plus an optional uniformity penalty on the
-batch PIT values (see ckl.total_loss), optimized with Adam.
+batch PIT values (see ckl.total_loss), optimized with Adam. On the tape the
+network is one fused op plus one node per head column (`mlp_forward`);
+inference (`predict`, `mc_dropout_predict`) runs the same expressions in
+numpy with no tape, computing the first layer once per call.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import expit
 
 from . import ndgrad as nd
 from .ckl import total_loss
@@ -120,37 +124,116 @@ def init_mlp(n_features, rng):
     return MlpParams(w1, b1, w2, b2, w3, b3)
 
 
-def mlp_forward(params, x, dropout_masks=None, dropout_rate=0.0):
-    """Forward pass. Returns (mu, sigma) nodes, each shaped (n,).
+def _check_input(x, w1):
+    if x.ndim != 2 or x.shape[1] != w1.shape[0]:
+        raise ValueError(f"mlp: expected (n, d) input for w1 of shape {w1.shape}, got {x.shape}")
 
-    `dropout_masks` is an optional pair of 0/1 arrays shaped (n, 128),
-    sampled by the caller so that passes can be replayed exactly.
-    """
+
+def _affine(h, w, b):
+    """The pre-activation h @ w + b; a non-finite entry raises, as it did on
+    the tape, so `train` reports a diverged step."""
+    a = h @ w
+    a += b
+    if not np.all(np.isfinite(a)):
+        raise ValueError("mlp: non-finite values in a pre-activation")
+    return a
+
+
+def _hidden(h, w, b, mask=None):
+    """relu(h @ w + b), times a keep-scaled dropout mask if one is given."""
+    h = _affine(h, w, b)
+    np.maximum(h, 0.0, out=h)
+    if mask is not None:
+        h *= mask
+    return h
+
+
+def _mlp(x, params, masks):
+    """The network up to its (n, 2) head output, one tape op over `x` and the
+    six weight blocks that forms gradients only for parents that require one.
+    Its expressions, matmul shapes and order are those of the generic tape
+    chain it replaced, because their rounding reaches every trained model; a
+    test holds it to that chain bit for bit."""
+    parents = (x, *params.nodes())
+    w1, b1, w2, b2, w3, b3 = params.arrays()
+    m1, m2 = masks if masks is not None else (None, None)
+    h1 = _hidden(x.value, w1, b1, m1)
+    h2 = _hidden(h1, w2, b2, m2)
+    inputs, layer_masks = (x.value, h1, h2), (None, m1, m2)
+
+    def backward(g):
+        grads = [None] * len(parents)
+        for k in (2, 1, 0):
+            w, b = parents[2 * k + 1], parents[2 * k + 2]
+            if w.requires_grad:
+                grads[2 * k + 1] = inputs[k].T @ g
+            if b.requires_grad:
+                grads[2 * k + 2] = nd._unbroadcast(g, b.shape)
+            if not any(p.requires_grad for p in parents[: 2 * k + 1]):
+                break
+            g = g @ w.value.T
+            if k > 0:
+                if layer_masks[k] is not None:
+                    g = g * layer_masks[k]
+                # the relu gate: where the mask is 0, g is already +-0 and
+                # (h > 0) gives the same bits as (pre-activation > 0)
+                g = g * (inputs[k] > 0.0)
+        else:
+            grads[0] = g
+        return grads
+
+    return nd._result("mlp", _affine(h2, w3, b3), parents, backward)
+
+
+def mlp_forward(params, x, dropout_masks=None):
+    """Forward pass on the tape: three nodes, the network (`_mlp`) and the
+    (mu, sigma) head columns, each shaped (n,). `x` is an array or a node;
+    `dropout_masks` is an optional pair of keep-scaled masks shaped (n, 128),
+    drawn by `_dropout_masks` so that passes replay exactly."""
     x = nd.constant(x)
-    if x.value.ndim != 2:
-        raise ValueError(f"mlp_forward: expected (n, d) input, got shape {x.shape}")
-    h = nd.relu(x @ params.w1 + params.b1)
-    if dropout_masks is not None:
-        h = nd.dropout(h, dropout_masks[0], dropout_rate)
-    h = nd.relu(h @ params.w2 + params.b2)
-    if dropout_masks is not None:
-        h = nd.dropout(h, dropout_masks[1], dropout_rate)
-    out = h @ params.w3 + params.b3
-    mu = out[:, 0]
-    sigma = nd.softplus(out[:, 1]) + 1e-6
+    _check_input(x.value, params.w1.value)
+    n = x.shape[0]
+    if dropout_masks is not None and any(m.shape != (n, HIDDEN_WIDTH) for m in dropout_masks):
+        raise ValueError(
+            f"mlp_forward: mask shapes {[m.shape for m in dropout_masks]} do not match "
+            f"the hidden layers {(n, HIDDEN_WIDTH)}"
+        )
+    out = _mlp(x, params, dropout_masks)
+    raw = out.value[:, 1]
+    zeros = np.zeros(n)
+    mu = nd._result("mu", out.value[:, 0], (out,), lambda g: (np.column_stack([g, zeros]),))
+    sigma = nd._result(
+        "sigma",
+        np.logaddexp(0.0, raw) + 1e-6,
+        (out,),
+        lambda g: (np.column_stack([zeros, g * expit(raw)]),),
+    )
     return mu, sigma
 
 
-def _frozen(params):
-    """The same weights as constant leaves: a forward pass on them keeps no
-    tape graph, so each intermediate is freed as soon as it is used."""
-    return MlpParams(*map(nd.constant, params.arrays()))
+def _head(h1, params, masks=None):
+    """Layers 2 and 3 and the head on a layer-1 activation, off the tape.
+    With a pair of masks it is one MC-dropout pass, and the first mask's
+    buffer takes the masked activation."""
+    m1, m2 = masks if masks is not None else (None, None)
+    if m1 is not None:
+        h1 = np.multiply(h1, m1, out=m1)
+    h2 = _hidden(h1, params.w2.value, params.b2.value, m2)
+    out = _affine(h2, params.w3.value, params.b3.value)
+    return GaussianPrediction(out[:, 0], np.logaddexp(0.0, out[:, 1]) + 1e-6)
+
+
+def _layer1(params, x):
+    """relu(x @ w1 + b1), off the tape. Dropout comes after it, so it is the
+    same for every MC pass."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_input(x, params.w1.value)
+    return _hidden(x, params.w1.value, params.b1.value)
 
 
 def predict(params, x):
-    """Deterministic single forward pass (no dropout)."""
-    mu, sigma = mlp_forward(_frozen(params), np.asarray(x, dtype=np.float64))
-    return GaussianPrediction(mu.value, sigma.value)
+    """Deterministic single forward pass (no dropout), off the tape."""
+    return _head(_layer1(params, x), params)
 
 
 @dataclass
@@ -196,11 +279,15 @@ def _batch_indices(order, batch_size):
     return chunks
 
 
-def _sample_masks(rng, n, dropout_rate):
+def _dropout_masks(rng, n, dropout_rate):
+    """Keep-scaled dropout masks for the two (n, 128) hidden layers, drawn in
+    order: 1 / keep where a uniform draw is below keep = 1 - rate, else 0.
+    Bit for bit a 0/1 mask divided by 1 - rate, without the divide."""
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout: rate must be in [0, 1), got {dropout_rate}")
     keep = 1.0 - dropout_rate
-    return (
-        (rng.random((n, HIDDEN_WIDTH)) < keep).astype(np.float64),
-        (rng.random((n, HIDDEN_WIDTH)) < keep).astype(np.float64),
+    return tuple(
+        np.where(rng.random((n, HIDDEN_WIDTH)) < keep, 1.0 / keep, 0.0) for _ in range(2)
     )
 
 
@@ -211,19 +298,21 @@ def fgsm_perturb(params, x, y, eps):
     proportional to each feature's scale. eps = 0 returns x unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
-    leaf = Node(x.copy(), requires_grad=True)
-    mu, sigma = mlp_forward(params, leaf)
+    leaf = Node(x, requires_grad=True)
+    # constant weights: the backward forms the input gradient alone
+    frozen = MlpParams(*map(nd.constant, params.arrays()))
+    mu, sigma = mlp_forward(frozen, leaf)
     (gx,) = nd.gradients(gaussian_nll(mu, sigma, y), [leaf])
     return x + np.asarray(eps, dtype=np.float64) * np.sign(gx)
 
 
 def _batch_loss(params, xb, yb, masks, cfg, sort_cfg, adv_eps):
-    mu, sigma = mlp_forward(params, xb, masks, cfg.dropout_rate)
+    mu, sigma = mlp_forward(params, xb, masks)
     loss = total_loss(yb, mu, sigma, cfg.lam, sort_cfg)
     if adv_eps is None:
         return loss
     x_adv = fgsm_perturb(params, xb, yb, adv_eps)
-    mu_a, sigma_a = mlp_forward(params, x_adv, masks, cfg.dropout_rate)
+    mu_a, sigma_a = mlp_forward(params, x_adv, masks)
     return (loss + total_loss(yb, mu_a, sigma_a, cfg.lam, sort_cfg)) * 0.5
 
 
@@ -255,7 +344,7 @@ def train(dataset, cfg, adv_eps=None, loss_history=None):
         total = 0.0
         for bi, idx in enumerate(_batch_indices(order, cfg.batch_size)):
             xb, yb = x[idx], y[idx]
-            masks = _sample_masks(rng, len(idx), cfg.dropout_rate) if use_dropout else None
+            masks = _dropout_masks(rng, len(idx), cfg.dropout_rate) if use_dropout else None
             try:
                 loss = _batch_loss(params, xb, yb, masks, cfg, sort_cfg, adv_eps)
                 grads = nd.gradients(loss, params.nodes())
@@ -271,21 +360,20 @@ def train(dataset, cfg, adv_eps=None, loss_history=None):
 
 
 def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
-    """Aggregate `passes` stochastic forward passes into one Gaussian."""
+    """Aggregate `passes` stochastic forward passes into one Gaussian, off
+    the tape. Layer 1 is computed once; each pass draws its two masks in
+    the order training does."""
     if passes < 1:
         raise ValueError(f"mc_dropout_predict: passes must be positive, got {passes}")
     if not 0.0 < dropout_rate < 1.0:
         raise ValueError(
             f"mc_dropout_predict: dropout_rate must be in (0, 1), got {dropout_rate}"
         )
-    x = np.asarray(x, dtype=np.float64)
-    frozen = _frozen(params)
+    h1 = _layer1(params, x)
     rng = np.random.default_rng(seed)
     preds = []
     for _ in range(passes):
-        masks = _sample_masks(rng, x.shape[0], dropout_rate)
-        mu, sigma = mlp_forward(frozen, x, masks, dropout_rate)
-        preds.append(GaussianPrediction(mu.value, sigma.value))
+        preds.append(_head(h1, params, _dropout_masks(rng, len(h1), dropout_rate)))
     return aggregate_mc(preds)
 
 

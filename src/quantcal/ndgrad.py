@@ -5,17 +5,17 @@ value, references to its parent nodes, and a backward closure that maps the
 incoming gradient to per-parent gradients. `gradients` walks the graph once
 in reverse topological order, accumulating additively over fan-out.
 
-The op set is deliberately small: exactly what the heteroscedastic MLP and
-its input gradient require. The losses (`gaussian.gaussian_nll`,
-`ckl.quantile_reg_loss`) and the soft sort (`softsort.soft_sorted`) are
-fused ops of their own modules, built on `_result`. Everything runs in
-64-bit floats; any op producing a NaN/Inf raises instead of propagating it.
+The model's layers are fused ops of their own modules, built on `_result`:
+the MLP (`models.mlp_forward`), the NLL (`gaussian.gaussian_nll`), the PITs
+and the estimator (`ckl.quantile_reg_loss`) and the soft sort
+(`softsort.soft_sorted`). The op set here is only the glue that combines
+the losses (`add`, `multiply`) plus `reduce_sum`. Everything runs in 64-bit
+floats; any op producing a NaN/Inf raises instead of propagating it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 
 class Node:
@@ -56,12 +56,6 @@ class Node:
 
     def __rmul__(self, other):
         return multiply(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return take(self, idx)
 
     def sum(self):
         return reduce_sum(self)
@@ -126,68 +120,12 @@ def multiply(a, b):
     )
 
 
-def relu(a):
-    a = constant(a)
-    return _result(
-        "relu", np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),)
-    )
-
-
-def softplus(a):
-    """log(1 + exp(x)), computed stably; gradient is the logistic sigmoid."""
-    a = constant(a)
-    value = np.logaddexp(0.0, a.value)
-    return _result("softplus", value, (a,), lambda g: (g * expit(a.value),))
-
-
-def matmul(a, b):
-    a, b = constant(a), constant(b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-
-    def backward(g):
-        return (g @ b.value.T, a.value.T @ g)
-
-    return _result("matmul", a.value @ b.value, (a, b), backward)
-
-
 def reduce_sum(a):
     """Sum of every entry, as a scalar node."""
     a = constant(a)
     return _result(
         "sum", a.value.sum(), (a,), lambda g: (np.broadcast_to(g, a.value.shape).copy(),)
     )
-
-
-def take(a, idx):
-    """Indexing/slicing; the backward scatters the gradient back in place."""
-    a = constant(a)
-    value = a.value[idx]
-
-    def backward(g):
-        buf = np.zeros_like(a.value)
-        np.add.at(buf, idx, g)
-        return (buf,)
-
-    return _result("take", value, (a,), backward)
-
-
-def dropout(a, mask, rate):
-    """Multiply by a caller-supplied 0/1 mask with inverted scaling 1/(1-rate).
-
-    The mask is sampled outside the tape (from a seeded RNG) so forward
-    passes are replayable.
-    """
-    a = constant(a)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != a.value.shape:
-        raise ValueError(
-            f"dropout: mask shape {mask.shape} does not match input {a.shape}"
-        )
-    scaled = mask / (1.0 - rate)
-    return _result("dropout", a.value * scaled, (a,), lambda g: (g * scaled,))
 
 
 def _topo_order(output):

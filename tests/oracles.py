@@ -4,11 +4,18 @@ These are deliberately written in a different style from the package code:
 closed-form segment integrals instead of the order-statistic shortcut, and
 the minimax characterization of isotonic regression instead of pooling.
 Slow is fine here; independent is the point.
+
+The tape ops at the end are the generic chain the fused MLP op replaced;
+the fused op and the numpy inference path must reproduce it bit for bit.
 """
 
 import math
 
 import numpy as np
+from scipy.special import expit
+
+from quantcal import ndgrad as nd
+from quantcal.gaussian import GaussianPrediction
 
 
 def _antideriv_log1m(x):
@@ -68,3 +75,75 @@ def minimax_isotonic(y):
             min(y[a : b + 1].mean() for b in range(i, n)) for a in range(i + 1)
         )
     return out
+
+
+def synth_hetero_truth(features):
+    """The exact predictive law `datasets.synth_hetero` draws from."""
+    x = np.asarray(features, dtype=np.float64).reshape(-1)
+    return GaussianPrediction(np.sin(2.0 * x), 0.1 + 0.4 * np.abs(x))
+
+
+def relu(a):
+    a = nd.constant(a)
+    return nd._result(
+        "relu", np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),)
+    )
+
+
+def softplus(a):
+    """log(1 + exp(x)), computed stably; gradient is the logistic sigmoid."""
+    a = nd.constant(a)
+    value = np.logaddexp(0.0, a.value)
+    return nd._result("softplus", value, (a,), lambda g: (g * expit(a.value),))
+
+
+def matmul(a, b):
+    a, b = nd.constant(a), nd.constant(b)
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+
+    def backward(g):
+        return (g @ b.value.T, a.value.T @ g)
+
+    return nd._result("matmul", a.value @ b.value, (a, b), backward)
+
+
+def take(a, idx):
+    """Indexing/slicing; the backward scatters the gradient back in place."""
+    a = nd.constant(a)
+    value = a.value[idx]
+
+    def backward(g):
+        buf = np.zeros_like(a.value)
+        np.add.at(buf, idx, g)
+        return (buf,)
+
+    return nd._result("take", value, (a,), backward)
+
+
+def dropout(a, mask, rate):
+    """Multiply by a 0/1 mask with inverted scaling 1/(1-rate)."""
+    a = nd.constant(a)
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != a.value.shape:
+        raise ValueError(
+            f"dropout: mask shape {mask.shape} does not match input {a.shape}"
+        )
+    scaled = mask / (1.0 - rate)
+    return nd._result("dropout", a.value * scaled, (a,), lambda g: (g * scaled,))
+
+
+def chain_mlp_forward(params, x, dropout_masks=None, dropout_rate=0.0):
+    """(mu, sigma) through 14 generic tape nodes; `dropout_masks` is a pair
+    of 0/1 masks shaped (n, 128)."""
+    x = nd.constant(x)
+    h = relu(nd.add(matmul(x, params.w1), params.b1))
+    if dropout_masks is not None:
+        h = dropout(h, dropout_masks[0], dropout_rate)
+    h = relu(nd.add(matmul(h, params.w2), params.b2))
+    if dropout_masks is not None:
+        h = dropout(h, dropout_masks[1], dropout_rate)
+    out = nd.add(matmul(h, params.w3), params.b3)
+    return take(out, (slice(None), 0)), nd.add(softplus(take(out, (slice(None), 1))), 1e-6)

@@ -6,11 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import chain_mlp_forward
 from quantcal import cli, models
 from quantcal import ndgrad as nd
+from quantcal.ckl import total_loss
 from quantcal.datasets import Dataset, synth_hetero
-from quantcal.gaussian import gaussian_nll
+from quantcal.gaussian import GaussianPrediction, aggregate_mc, gaussian_nll
 from quantcal.models import (
     HIDDEN_WIDTH,
     AdamState,
@@ -18,6 +22,8 @@ from quantcal.models import (
     MlpParams,
     TrainConfig,
     _batch_indices,
+    _batch_loss,
+    _dropout_masks,
     adam_step,
     ensemble_predict,
     ensemble_train,
@@ -30,6 +36,7 @@ from quantcal.models import (
     save_params,
     train,
 )
+from quantcal.softsort import SoftSortConfig
 
 SOFTPLUS_0 = float(np.log(2.0))
 
@@ -93,6 +100,150 @@ def test_forward_rejects_1d_input():
     params = init_mlp(3, np.random.default_rng(5))
     with pytest.raises(ValueError, match=r"\(n, d\)"):
         mlp_forward(params, np.ones(3))
+    # a 1-d input or a wrong feature count names both shapes, on and off the tape
+    for x in (np.ones(3), np.ones((4, 2))):
+        for forward in (mlp_forward, predict, mc_dropout_predict):
+            with pytest.raises(ValueError) as info:
+                forward(params, x)
+            assert str(x.shape) in str(info.value) and "(3, 128)" in str(info.value)
+
+
+def test_nonfinite_pre_activation_raises():
+    rng = np.random.default_rng(5)
+    params = init_mlp(3, rng)
+    # every first-layer unit outputs 1, so each second-layer sum overflows
+    params.w1.value.fill(0.0)
+    params.b1.value.fill(1.0)
+    params.w2.value.fill(1e308)
+    x = rng.normal(size=(4, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for forward in (mlp_forward, predict, mc_dropout_predict):
+            with pytest.raises(ValueError, match="non-finite"):
+                forward(params, x)
+
+
+def random_params(rng, d):
+    """A fresh network with every block perturbed, the zero head included."""
+    params = init_mlp(d, rng)
+    for node in params.nodes():
+        node.value += rng.normal(size=node.shape) * 0.3
+    return params
+
+
+def zero_one_masks(rng, n, rate):
+    """The 0/1 masks the tape chain took, drawn as `_dropout_masks` draws."""
+    keep = 1.0 - rate
+    return tuple((rng.random((n, HIDDEN_WIDTH)) < keep).astype(np.float64) for _ in range(2))
+
+
+def chain_fgsm(params, x, y, eps):
+    leaf = nd.Node(x.copy(), requires_grad=True)
+    mu, sigma = chain_mlp_forward(params, leaf)
+    (gx,) = nd.gradients(gaussian_nll(mu, sigma, y), [leaf])
+    return x + eps * np.sign(gx)
+
+
+def chain_batch_loss(params, x, y, masks, rate, lam, eps):
+    mu, sigma = chain_mlp_forward(params, x, masks, rate)
+    loss = total_loss(y, mu, sigma, lam)
+    x_adv = chain_fgsm(params, x, y, eps)
+    mu_a, sigma_a = chain_mlp_forward(params, x_adv, masks, rate)
+    return (loss + total_loss(y, mu_a, sigma_a, lam)) * 0.5
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=1, max_value=12),
+    st.one_of(st.none(), st.floats(min_value=0.1, max_value=0.5)),
+    st.lists(st.booleans(), min_size=7, max_size=7).filter(any),
+)
+def test_mlp_op_equals_tape_chain_bitwise(seed, n, d, rate, trainable):
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, d)
+    x = rng.normal(size=(n, d))
+    y = rng.normal(size=n)
+    eps = rng.uniform(0.0, 0.05, size=d)
+    masks = chain_masks = None
+    if rate is not None:
+        masks = _dropout_masks(np.random.default_rng(seed), n, rate)
+        chain_masks = zero_one_masks(np.random.default_rng(seed), n, rate)
+    # trainable picks which of x and the six blocks are leaves
+    arrays = [x, *params.arrays()]
+    for lam in (0.0, 20.0) if n >= 2 else (0.0,):
+        results = []
+        for fused in (True, False):
+            leaves = [nd.param(a) if t else nd.constant(a) for a, t in zip(arrays, trainable)]
+            blocks = MlpParams(*leaves[1:])
+            if fused:
+                mu, sigma = mlp_forward(blocks, leaves[0], masks)
+            else:
+                mu, sigma = chain_mlp_forward(blocks, leaves[0], chain_masks, rate or 0.0)
+            loss = total_loss(y, mu, sigma, lam)
+            wrt = [leaf for leaf in leaves if leaf.requires_grad]
+            results.append([mu.value, sigma.value, loss.value, *nd.gradients(loss, wrt)])
+        assert_same_bytes(*results)
+        # the ensembles' two-graph loss: clean batch plus its FGSM copy
+        cfg = TrainConfig(lam=lam, dropout_rate=rate or 0.0)
+        results = []
+        for fused in (True, False):
+            blocks = MlpParams(*map(nd.param, params.arrays()))
+            if fused:
+                loss = _batch_loss(blocks, x, y, masks, cfg, SoftSortConfig(), eps)
+            else:
+                loss = chain_batch_loss(blocks, x, y, chain_masks, rate or 0.0, lam, eps)
+            results.append([loss.value, *nd.gradients(loss, blocks.nodes())])
+        assert_same_bytes(*results)
+    assert_same_bytes([fgsm_perturb(params, x, y, eps)], [chain_fgsm(params, x, y, eps)])
+
+
+def test_mlp_forward_builds_three_nodes():
+    rng = np.random.default_rng(5)
+    params = init_mlp(3, rng)
+    mu, sigma = mlp_forward(params, rng.normal(size=(4, 3)))
+    seen, stack = set(), [mu, sigma]
+    while stack:
+        node = stack.pop()
+        if node.parents and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    assert len(seen) == 3
+    (out,) = mu.parents
+    assert sigma.parents == (out,) and out.parents[1:] == tuple(params.nodes())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=0.05, max_value=0.6),
+)
+def test_inference_equals_tape_chain_bitwise(seed, n, d, passes, rate):
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, d)
+    x = rng.normal(size=(n, d))
+    frozen = MlpParams(*map(nd.constant, params.arrays()))
+    mu, sigma = chain_mlp_forward(frozen, x)
+    want = GaussianPrediction(mu.value, sigma.value)
+    got = predict(params, x)
+    assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
+    mask_rng = np.random.default_rng(seed)
+    preds = []
+    for _ in range(passes):
+        mu, sigma = chain_mlp_forward(frozen, x, zero_one_masks(mask_rng, n, rate), rate)
+        preds.append(GaussianPrediction(mu.value, sigma.value))
+    want = aggregate_mc(preds)
+    got = mc_dropout_predict(params, x, passes=passes, dropout_rate=rate, seed=seed)
+    assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
 
 
 def test_full_loss_gradients():
@@ -241,11 +392,18 @@ def test_mc_dropout_validation():
         mc_dropout_predict(params, np.ones((2, 2)), passes=0)
     with pytest.raises(ValueError, match="dropout_rate"):
         mc_dropout_predict(params, np.ones((2, 2)), dropout_rate=0.0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="rate"):
+        _dropout_masks(rng, 2, 1.0)
+    masks = (_dropout_masks(rng, 2, 0.25)[0], _dropout_masks(rng, 3, 0.25)[0])
+    with pytest.raises(ValueError, match="mask shape"):
+        mlp_forward(params, np.ones((2, 2)), masks)
 
 
 def test_mc_dropout_predict_keeps_no_graph():
-    # a pass's intermediates are (n, 128) arrays; a pass that kept its tape
-    # graph alive while the next one ran would hold about a dozen of them
+    # a pass's intermediates are (n, 128) arrays: the shared first layer, the
+    # two masks (the first one holds the masked input) and the second layer's
+    # output, plus a uniform draw and its comparison while a mask is made
     rng = np.random.default_rng(0)
     params = init_mlp(3, rng)
     x = rng.normal(size=(2000, 3))
@@ -255,7 +413,7 @@ def test_mc_dropout_predict_keeps_no_graph():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * x.shape[0] * HIDDEN_WIDTH * 8, peak / (x.shape[0] * HIDDEN_WIDTH * 8)
+    assert peak < 5 * x.shape[0] * HIDDEN_WIDTH * 8, peak / (x.shape[0] * HIDDEN_WIDTH * 8)
 
 
 def test_fgsm_moves_inputs_by_eps_signs():
