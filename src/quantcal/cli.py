@@ -5,11 +5,13 @@ synthetic dataset, writes everything as CSV (full-precision floats, stable
 row order, so identical configs produce byte-identical files), and renders
 mean +/- std tables from the results.
 
-Config is a JSON object; every key is optional and defaults reproduce the
-reference settings (two hidden layers of 128, Adam at 1e-2, batch 512,
-100 epochs, dropout 0.25, 10 Monte-Carlo passes, ensembles of 5, lambda
-grid {0, 20}, 20 metric bins). `--desk-scale` caps epochs at 25 and rows
-at 500 so a full run finishes in well under a minute.
+`train` and `sweep` take a JSON config whose keys are all optional (the
+defaults reproduce the reference settings; the training, ensemble, metric
+and split defaults are those of the component configs) plus flag overrides.
+`recalibrate` and `report` take only `--config` and `--out`: everything
+else they read from the run directory, so `calib_split` is chosen at train
+time. `--desk-scale` caps epochs and rows so a full run finishes in well
+under a minute.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from . import __version__
-from .datasets import Dataset, SplitSpec, load_csv, load_from_descriptor, make_splits, standardize, synth_hetero
+from .datasets import SplitSpec, load_csv, load_from_descriptor, make_splits, standardize, synth_hetero
 from .gaussian import pit
 from .metrics import MetricConfig, MetricsReport, calibration_error
 from .models import (
@@ -60,6 +62,9 @@ RELIABILITY_FIELDS = ("dataset", "model", "lam", "split", "expected", "observed"
 SUMMARY_FIELDS = ("dataset", "model", "lam", "metric", "mean", "std")
 RECALIB_FIELDS = ("dataset", "model", "lam", "split", "pre_calib_error", "post_calib_error", "flag")
 CURVE_FIELDS = ("lam", "calib_error_mean", "calib_error_std", "rmse_mean", "rmse_std", "nll_mean", "nll_std")
+# how `report` reads metrics.csv and recalib.csv back; other columns are text
+_COLUMN_TYPES = {"split": int, "n_train": int, "n_test": int,
+                 **dict.fromkeys(("lam", *METRICS, "pre_calib_error", "post_calib_error"), float)}
 
 
 class ConfigError(Exception):
@@ -101,18 +106,18 @@ class ExperimentConfig:
     synth_n: int = 2000
     model: str = "mc_dropout"
     lambdas: list[float] | None = None
-    learning_rate: float = 1e-2
-    batch_size: int = 512
-    epochs: int = 100
-    dropout_rate: float = 0.25
-    tau: float = 0.1
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    dropout_rate: float = TrainConfig.dropout_rate
+    tau: float = SoftSortConfig.tau
     mc_passes: int = 10
-    ensemble_size: int = 5
-    adv_eps_scale: float = 0.01
-    bins: int = 20
-    percent: bool = True
-    n_splits: int = 5
-    test_fraction: float = 0.2
+    ensemble_size: int = EnsembleConfig.size
+    adv_eps_scale: float = EnsembleConfig.adv_eps_scale
+    bins: int = MetricConfig.bins
+    percent: bool = MetricConfig.percent
+    n_splits: int = SplitSpec.n_splits
+    test_fraction: float = SplitSpec.test_fraction
     seed: int = 0
     out: str = "results"
     desk_scale: bool = False
@@ -221,12 +226,12 @@ def _load_base_dataset(cfg):
 
 
 def _split_runs(cfg, ds):
-    """The experiment loop every verb shares. Yields (split, fit_idx,
-    calib_idx, test_idx, transform) per seeded split: the rows the model
+    """The experiment loop every verb shares. Yields (split, fit, calib_idx,
+    test_idx, transform) per seeded split: the standardized rows the model
     trains on, the rows that fit the calibration map, the test rows, and the
     standardization fitted on the training rows. `holdout` carves a seeded
     fifth of the train split off before training so the map never sees
-    training rows."""
+    training rows; otherwise the calibration rows are the training rows."""
     for split, (train_idx, test_idx) in enumerate(make_splits(len(ds), cfg.split_spec())):
         fit_idx = calib_idx = train_idx
         if cfg.calib_split == "holdout":
@@ -234,8 +239,8 @@ def _split_runs(cfg, ds):
             n_calib = max(1, int(round(0.2 * len(train_idx))))
             calib_idx = np.sort(train_idx[perm[:n_calib]])
             fit_idx = np.sort(train_idx[perm[n_calib:]])
-        _, transform = standardize(ds.subset(fit_idx))
-        yield split, fit_idx, calib_idx, test_idx, transform
+        fit, transform = standardize(ds.subset(fit_idx))
+        yield split, fit, calib_idx, test_idx, transform
 
 
 def _predict(cfg, members, x, seed):
@@ -263,12 +268,6 @@ def _write_csv(path, fields, rows):
         writer.writerows(rows)
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _summarize(metric_rows):
     """(dataset, model, lam) -> metric -> (mean, std). Sample std, 0 for a
     single value."""
@@ -292,7 +291,7 @@ def _write_summary(out_dir, summary):
         out_dir / "summary.csv",
         SUMMARY_FIELDS,
         [
-            [dataset, model, _fmt(lam), metric, _fmt(mean), _fmt(std)]
+            [dataset, model, lam, metric, mean, std]
             for (dataset, model, lam), stats in summary.items()
             for metric, (mean, std) in stats.items()
         ],
@@ -307,16 +306,15 @@ def _run_experiment(cfg, lambdas):
     metric_rows = []
     reliability_rows = []
     members_by_run = {}
-    for split, fit_idx, _, test_idx, transform in _split_runs(cfg, ds):
-        std_train = Dataset(*transform.apply(ds.features[fit_idx], ds.targets[fit_idx]))
+    for split, fit, _, test_idx, transform in _split_runs(cfg, ds):
         x_test, y_test_std = transform.apply(ds.features[test_idx], ds.targets[test_idx])
         for lam in lambdas:
             tcfg = cfg.train_config(lam, split)
             try:
                 if cfg.model == "mc_dropout":
-                    members = [train(std_train, tcfg)]
+                    members = [train(fit, tcfg)]
                 else:
-                    members = ensemble_train(std_train, tcfg, cfg.ensemble_config())
+                    members = ensemble_train(fit, tcfg, cfg.ensemble_config())
                 pred = _predict(
                     cfg, members, x_test, cfg.train_seed(split) + PREDICT_SEED_OFFSET
                 )
@@ -326,7 +324,7 @@ def _run_experiment(cfg, lambdas):
             report = MetricsReport.evaluate(
                 transform.inverse_predictions(pred), ds.targets[test_idx], pits, mcfg
             )
-            row = (cfg.dataset, cfg.model, lam, split, len(fit_idx), len(test_idx),
+            row = (cfg.dataset, cfg.model, lam, split, len(fit), len(test_idx),
                    report.calib_error, report.rmse, report.nll)
             metric_rows.append(dict(zip(METRICS_FIELDS, row)))
             for expected, observed in report.reliability:
@@ -338,16 +336,8 @@ def _run_experiment(cfg, lambdas):
 def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "models").mkdir(exist_ok=True)
-    _write_csv(
-        out_dir / "metrics.csv",
-        METRICS_FIELDS,
-        [[_fmt(r[f]) for f in METRICS_FIELDS] for r in metric_rows],
-    )
-    _write_csv(
-        out_dir / "reliability.csv",
-        RELIABILITY_FIELDS,
-        [[_fmt(v) for v in row] for row in reliability_rows],
-    )
+    _write_csv(out_dir / "metrics.csv", METRICS_FIELDS, [r.values() for r in metric_rows])
+    _write_csv(out_dir / "reliability.csv", RELIABILITY_FIELDS, reliability_rows)
     _write_summary(out_dir, summary)
     for (lam, split), members in members_by_run.items():
         for member, path in zip(members, _artifact_paths(out_dir, cfg, lam, split)):
@@ -381,7 +371,7 @@ def cmd_train(cfg, command="train"):
         out_dir / "curve.csv",
         CURVE_FIELDS,
         [
-            [_fmt(lam)] + [_fmt(v) for metric in METRICS for v in stats[metric]]
+            [lam] + [v for metric in METRICS for v in stats[metric]]
             for lam, stats in zip(lambdas, curve)
         ],
     )
@@ -395,10 +385,8 @@ def cmd_train(cfg, command="train"):
     return 0
 
 
-def cmd_recalibrate(cfg, calib_split=None):
-    """Refit isotonic maps for the run in `cfg.out`, under its stored config.
-    The holdout carve is made before training, so an explicit `calib_split`
-    must match the stored one."""
+def cmd_recalibrate(cfg):
+    """Refit isotonic maps for the run in `cfg.out`, under its stored config."""
     out_dir = Path(cfg.out)
     run_config_path = out_dir / "run_config.json"
     if not run_config_path.exists():
@@ -409,19 +397,17 @@ def cmd_recalibrate(cfg, calib_split=None):
     stored.pop("version", None)
     cfg = ExperimentConfig.from_dict(stored, source=str(run_config_path))
     cfg.validate()
-    if calib_split is not None and calib_split != cfg.calib_split:
-        raise ConfigError(
-            f"{out_dir} was trained with calib_split {cfg.calib_split!r}; retrain with "
-            f"`quantcal train --calib-split {calib_split}` to recalibrate on {calib_split} rows"
-        )
 
     lambdas = cfg.resolved_lambdas("train")
     ds = _load_base_dataset(cfg)
     mcfg = cfg.metric_config()
     (out_dir / "maps").mkdir(exist_ok=True)
     rows = []
-    for split, _, calib_idx, test_idx, transform in _split_runs(cfg, ds):
-        x_calib, y_calib = transform.apply(ds.features[calib_idx], ds.targets[calib_idx])
+    for split, fit, calib_idx, test_idx, transform in _split_runs(cfg, ds):
+        if cfg.calib_split == "train":
+            x_calib, y_calib = fit.features, fit.targets
+        else:
+            x_calib, y_calib = transform.apply(ds.features[calib_idx], ds.targets[calib_idx])
         x_test, y_test = transform.apply(ds.features[test_idx], ds.targets[test_idx])
         for lam in lambdas:
             paths = _artifact_paths(out_dir, cfg, lam, split)
@@ -443,7 +429,7 @@ def cmd_recalibrate(cfg, calib_split=None):
             pre = calibration_error(pits, mcfg)
             post = calibration_error(apply_map(cal_map, pits), mcfg)
             rows.append((cfg.dataset, cfg.model, lam, split, pre, post, "*" if post > pre else ""))
-    _write_csv(out_dir / "recalib.csv", RECALIB_FIELDS, [[_fmt(v) for v in r] for r in rows])
+    _write_csv(out_dir / "recalib.csv", RECALIB_FIELDS, rows)
     for dataset, model, lam, split, pre, post, flag in rows:
         print(
             f"{dataset} {model} lam={lam:g} split={split}: "
@@ -453,14 +439,35 @@ def cmd_recalibrate(cfg, calib_split=None):
     return 0
 
 
-def _read_csv_dicts(path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+def _read_results(path, fields):
+    """Rows of a results CSV written with header `fields`, as dicts with the
+    numeric columns converted; blank lines are skipped and an empty file has
+    no rows. Any other file raises a ValueError naming it, and the row and
+    column at fault."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if rows and tuple(rows[0]) != fields:
+        raise ValueError(f"{path}: expected the columns {list(fields)}, got {rows[0]}")
+    records = []
+    for r, row in enumerate(rows[1:]):
+        if len(row) != len(fields):
+            raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {len(fields)}")
+        record = {}
+        for name, cell in zip(fields, row):
+            try:
+                record[name] = _COLUMN_TYPES.get(name, str)(cell)
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric value {cell!r} at row {r}, column {name}") from None
+        records.append(record)
+    return records
 
 
-def _bold_pair(values, lower_better=True):
-    """Indices to bold: the best value, plus anything within 1e-9 of it."""
-    best = min(values) if lower_better else max(values)
+def _bold_pair(values):
+    """Indices to bold: the lowest value, plus anything within 1e-9 of it."""
+    best = min(values)
     return [abs(v - best) <= 1e-9 for v in values]
 
 
@@ -469,19 +476,9 @@ def cmd_report(cfg):
     metrics_path = out_dir / "metrics.csv"
     if not metrics_path.exists():
         raise ConfigError(f"{metrics_path} not found; nothing to report")
-    raw = _read_csv_dicts(metrics_path)
-    if not raw:
+    metric_rows = _read_results(metrics_path, METRICS_FIELDS)
+    if not metric_rows:
         raise ConfigError(f"{metrics_path} has no rows")
-    metric_rows = [
-        {
-            "dataset": r["dataset"],
-            "model": r["model"],
-            "lam": float(r["lam"]),
-            "split": int(r["split"]),
-            **{metric: float(r[metric]) for metric in METRICS},
-        }
-        for r in raw
-    ]
     summary = _summarize(metric_rows)
     lambdas = sorted({key[2] for key in summary})
     groups = sorted({(key[0], key[1]) for key in summary})
@@ -508,26 +505,24 @@ def cmd_report(cfg):
             lines.append(" | ".join([f"{dataset}/{model}"] + cells))
         lines.append("")
     recalib_path = out_dir / "recalib.csv"
-    if recalib_path.exists():
-        rec = _read_csv_dicts(recalib_path)
-        if rec:
-            lines.append("== recalibration (pre -> post calibration error; * marks post > pre) ==")
-            header = ["dataset/model/lam", "pre", "post"]
-            lines.append(" | ".join(header))
-            grouped = {}
-            for r in rec:
-                key = (r["dataset"], r["model"], float(r["lam"]))
-                grouped.setdefault(key, []).append(r)
-            for key, rs in sorted(grouped.items()):
-                pre = np.mean([float(r["pre_calib_error"]) for r in rs])
-                post = np.mean([float(r["post_calib_error"]) for r in rs])
-                stars = sum(1 for r in rs if r["flag"] == "*")
-                mark = "*" if stars > len(rs) / 2 else ""
-                lines.append(
-                    f"{key[0]}/{key[1]}/lam={key[2]:g} | {pre:.4f} | {post:.4f}{mark} "
-                    f"({stars}/{len(rs)} splits worse)"
-                )
-            lines.append("")
+    rec = _read_results(recalib_path, RECALIB_FIELDS) if recalib_path.exists() else []
+    if rec:
+        lines.append("== recalibration (pre -> post calibration error; * marks post > pre) ==")
+        header = ["dataset/model/lam", "pre", "post"]
+        lines.append(" | ".join(header))
+        grouped = {}
+        for r in rec:
+            grouped.setdefault((r["dataset"], r["model"], r["lam"]), []).append(r)
+        for key, rs in sorted(grouped.items()):
+            pre = np.mean([r["pre_calib_error"] for r in rs])
+            post = np.mean([r["post_calib_error"] for r in rs])
+            stars = sum(1 for r in rs if r["flag"] == "*")
+            mark = "*" if stars > len(rs) / 2 else ""
+            lines.append(
+                f"{key[0]}/{key[1]}/lam={key[2]:g} | {pre:.4f} | {post:.4f}{mark} "
+                f"({stars}/{len(rs)} splits worse)"
+            )
+        lines.append("")
     text = "\n".join(lines)
     _write_summary(out_dir, summary)
     with open(out_dir / "report.txt", "w") as fh:
@@ -551,24 +546,28 @@ def build_parser():
         ("report", "render mean +/- std tables from a results directory"),
     ):
         p = sub.add_parser(name, help=help_text)
+        # recalibrate and report read the rest from the run directory
+        runs_experiment = name in ("train", "sweep")
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--dataset", help="synth_hetero, a shipped descriptor name, or a CSV path")
-        p.add_argument("--lambda", dest="lambdas", type=float, action="append",
-                       help="penalty weight; repeat for a grid (overrides config)")
-        p.add_argument("--seed", type=int, help="master seed")
+        if runs_experiment:
+            p.add_argument("--dataset", help="synth_hetero, a shipped descriptor name, or a CSV path")
+            p.add_argument("--lambda", dest="lambdas", type=float, action="append",
+                           help="penalty weight; repeat for a grid (overrides config)")
+            p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="results directory")
-        p.add_argument("--desk-scale", action="store_true", default=None,
-                       help=f"cap epochs at {DESK_EPOCHS} and rows at {DESK_MAX_ROWS}")
-        p.add_argument("--calib-split", choices=CALIB_SPLITS,
-                       help="rows used to fit the isotonic map, chosen at train time (default train)")
-        p.add_argument("--model", choices=MODELS, help="uncertainty model")
+        if runs_experiment:
+            p.add_argument("--desk-scale", action="store_true", default=None,
+                           help=f"cap epochs at {DESK_EPOCHS} and rows at {DESK_MAX_ROWS}")
+            p.add_argument("--calib-split", choices=CALIB_SPLITS,
+                           help="rows used to fit the isotonic map, chosen at train time (default train)")
+            p.add_argument("--model", choices=MODELS, help="uncertainty model")
     return parser
 
 
 def _config_from_args(args):
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     for key in ("dataset", "lambdas", "seed", "out", "desk_scale", "calib_split", "model"):
-        value = getattr(args, key)
+        value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
     cfg.validate()
@@ -580,7 +579,7 @@ def main(argv=None):
     try:
         cfg = _config_from_args(args)
         if args.command == "recalibrate":
-            return cmd_recalibrate(cfg, args.calib_split)
+            return cmd_recalibrate(cfg)
         if args.command == "report":
             return cmd_report(cfg)
         return cmd_train(cfg, args.command)

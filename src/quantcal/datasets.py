@@ -96,7 +96,7 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     with open(path, newline="") as fh:
         try:
             rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"load_csv: {path}: {exc}") from None
     if not rows:
         raise ValueError(f"load_csv: {path} is empty")
@@ -109,7 +109,7 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     if isinstance(target_column, str):
         if target_column not in header:
             raise ValueError(
-                f"load_csv: target column {target_column!r} not in header {header}"
+                f"load_csv: {path}: target column {target_column!r} not in header {header}"
             )
         target_idx = header.index(target_column)
     else:
@@ -118,7 +118,7 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(
-                f"load_csv: row {r} has {len(row)} cells, expected {width}"
+                f"load_csv: {path}: row {r} has {len(row)} cells, expected {width}"
             )
     try:
         # numpy parses each string with Python's float(): same spellings, same bits
@@ -130,7 +130,7 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
                     float(cell)
                 except ValueError:
                     raise ValueError(
-                        f"load_csv: non-numeric value {cell!r} at row {r}, "
+                        f"load_csv: {path}: non-numeric value {cell!r} at row {r}, "
                         f"column {c} ({header[c]})"
                     ) from None
         raise
@@ -139,7 +139,7 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     if bad.size:
         r, c = bad[0]
         raise ValueError(
-            f"load_csv: non-finite value {rows[r][c]!r} at row {r}, "
+            f"load_csv: {path}: non-finite value {rows[r][c]!r} at row {r}, "
             f"column {c} ({header[c]})"
         )
     feature_cols = [i for i in range(width) if i != target_idx]

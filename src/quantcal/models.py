@@ -48,7 +48,7 @@ class TrainConfig:
     batch_size: int = 512
     epochs: int = 100
     dropout_rate: float = 0.25
-    tau: float = 0.1
+    tau: float = SoftSortConfig.tau
     seed: int = 0
 
     def __post_init__(self):
@@ -414,8 +414,9 @@ def save_params(params, path):
 
 def load_params(path):
     """Read a file written by `save_params`. A malformed file (wrong magic
-    or version, truncated, trailing bytes, or shapes that do not chain into
-    the d -> 128 -> 128 -> 2 network) raises a ValueError naming `path`."""
+    or version, truncated, trailing bytes, shapes that do not chain into the
+    d -> 128 -> 128 -> 2 network, or non-finite weights) raises a ValueError
+    naming `path`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
@@ -453,8 +454,8 @@ def load_params(path):
         raise ValueError(f"load_params: {path} is truncated")
     if extra > 0:
         raise ValueError(f"load_params: trailing bytes in {path}")
-    arrays = []
-    for shape, n in zip(shapes, sizes):
-        arrays.append(nd.param(np.frombuffer(blob, "<f8", n, offset).reshape(shape)))
-        offset += 8 * n
-    return MlpParams(*arrays)
+    values = np.frombuffer(blob, "<f8", sum(sizes), offset)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"load_params: {path} holds non-finite weights")
+    blocks = np.split(values, np.cumsum(sizes)[:-1])
+    return MlpParams(*(nd.param(b.reshape(shape)) for b, shape in zip(blocks, shapes)))

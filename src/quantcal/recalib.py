@@ -117,8 +117,7 @@ def save_map(cal_map, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["p", "r"])
-        for p, r in zip(cal_map.knots_p, cal_map.knots_r):
-            writer.writerow([repr(float(p)), repr(float(r))])
+        writer.writerows(zip(map(float, cal_map.knots_p), map(float, cal_map.knots_r)))
 
 
 def load_map(path):

@@ -208,7 +208,7 @@ def test_recalibrate_holdout_mode(tmp_path):
     out = tmp_path / "run"
     main(["train", "--config", write_config(tmp_path), "--out", str(out),
           "--calib-split", "holdout"])
-    assert main(["recalibrate", "--out", str(out), "--calib-split", "holdout"]) == 0
+    assert main(["recalibrate", "--out", str(out)]) == 0
     stored = json.loads((out / "run_config.json").read_text())
     assert stored["calib_split"] == "holdout"
     # the holdout carve shrinks the training rows
@@ -228,11 +228,40 @@ def test_recalibrate_uses_stored_calib_split(tmp_path, capsys, mode):
     assert len(rows) == len(trained)
     for r in rows:
         assert r["pre_calib_error"] == trained[(r["lam"], r["split"])]
+    # the carve is made before training, so recalibrate takes no choice of rows
     other = "train" if mode == "holdout" else "holdout"
     capsys.readouterr()
-    assert main(["recalibrate", "--out", str(out), "--calib-split", other]) == 2
-    err = capsys.readouterr().err
-    assert f"--calib-split {other}" in err and err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["recalibrate", "--out", str(out), "--calib-split", other])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --calib-split" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    out = root / "run"
+    cfg = write_config(root, {"synth_n": 60, "epochs": 1, "n_splits": 2, "lambdas": [0.0],
+                              "mc_passes": 2})
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("verb", ["recalibrate", "report"])
+@pytest.mark.parametrize(
+    "flag",
+    [["--dataset", "boston"], ["--lambda", "7"], ["--seed", "9"], ["--desk-scale"],
+     ["--model", "ensemble"], ["--calib-split", "holdout"]],
+    ids=lambda flag: flag[0],
+)
+def test_run_directory_verbs_take_only_config_and_out(tiny_run, capsys, verb, flag):
+    # everything else comes from the run directory, so an experiment flag
+    # would be ignored; it is a usage error instead
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--out", str(tiny_run), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not (tiny_run / "recalib.csv").exists() and not (tiny_run / "report.txt").exists()
 
 
 def test_sweep_writes_curve_and_matches_train(tmp_path):
@@ -259,6 +288,39 @@ def test_sweep_default_grid(tmp_path):
 def test_report_requires_metrics(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "none")]) == 2
     assert "metrics.csv" in capsys.readouterr().err
+
+
+def write_results(path, fields, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("name", ["metrics.csv", "recalib.csv"])
+@pytest.mark.parametrize("case", ["missing column", "short row", "non-numeric", "non-utf8"])
+def test_report_names_malformed_results_file(tmp_path, capsys, name, case):
+    files = {
+        "metrics.csv": (cli.METRICS_FIELDS, [["d", "m", 0.0, 0, 80, 20, 0.5, 1.0, 2.0],
+                                             ["d", "m", 20.0, 0, 80, 20, 0.1, 1.5, 2.5]]),
+        "recalib.csv": (cli.RECALIB_FIELDS, [["d", "m", 0.0, 0, 0.5, 0.7, "*"],
+                                             ["d", "m", 20.0, 0, 0.1, 0.05, ""]]),
+    }
+    for file_name, (fields, rows) in files.items():
+        if file_name == name and case == "missing column":
+            fields, rows = fields[1:], [row[1:] for row in rows]
+        elif file_name == name and case == "short row":
+            rows = [rows[0], rows[1][:-2]]
+        elif file_name == name and case == "non-numeric":
+            rows = [rows[0], rows[1][:2] + ["abc"] + rows[1][3:]]
+        write_results(tmp_path / file_name, fields, rows)
+    path = tmp_path / name
+    if case == "non-utf8":
+        path.write_bytes(path.read_bytes().replace(b"20.0", b"2\xff"))
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_report_bolds_better_column(tmp_path, capsys):

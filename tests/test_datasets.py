@@ -72,24 +72,27 @@ def test_load_csv_delimiter(tmp_path):
 
 
 def test_load_csv_errors(tmp_path):
-    empty = write_csv(tmp_path / "e.csv", "")
-    with pytest.raises(ValueError, match="empty"):
-        load_csv(empty)
-    ragged = write_csv(tmp_path / "r.csv", "a,b\n1,2\n3\n")
-    with pytest.raises(ValueError, match="row 1 has 1 cells"):
-        load_csv(ragged)
-    alpha = write_csv(tmp_path / "a.csv", "a,b\n1,x\n")
-    with pytest.raises(ValueError, match=r"non-numeric value 'x' at row 0, column 1 \(b\)"):
-        load_csv(alpha)
-    nan = write_csv(tmp_path / "n.csv", "a,b\n1,2\n3,nan\n")
-    with pytest.raises(ValueError, match=r"non-finite value 'nan' at row 1, column 1 \(b\)"):
-        load_csv(nan)
-    inf = write_csv(tmp_path / "i.csv", "a,b\n-inf,2\n")
-    with pytest.raises(ValueError, match=r"non-finite value '-inf' at row 0, column 0 \(a\)"):
-        load_csv(inf)
-    header_only = write_csv(tmp_path / "h.csv", "a,b\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        load_csv(header_only)
+    cases = [
+        ("e.csv", "", "empty"),
+        ("r.csv", "a,b\n1,2\n3\n", "row 1 has 1 cells"),
+        ("a.csv", "a,b\n1,x\n", r"non-numeric value 'x' at row 0, column 1 \(b\)"),
+        ("n.csv", "a,b\n1,2\n3,nan\n", r"non-finite value 'nan' at row 1, column 1 \(b\)"),
+        ("i.csv", "a,b\n-inf,2\n", r"non-finite value '-inf' at row 0, column 0 \(a\)"),
+        ("h.csv", "a,b\n", "no data rows"),
+    ]
+    for name, text, message in cases:
+        path = write_csv(tmp_path / name, text)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_csv(path)
+        assert str(path) in str(exc.value)
+    path = tmp_path / "u.csv"
+    path.write_bytes(b"a,b\n1,\xff\n")
+    with pytest.raises(ValueError, match="codec") as exc:
+        load_csv(path)
+    assert str(path) in str(exc.value)
+    with pytest.raises(ValueError, match="target column 'z'") as exc:
+        load_csv(tmp_path / "a.csv", target_column="z")
+    assert str(tmp_path / "a.csv") in str(exc.value)
 
 
 def test_standardize_population_stats():

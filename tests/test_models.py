@@ -508,11 +508,17 @@ def test_load_rejects_corrupt_files(tmp_path, monkeypatch, capsys):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
     model = out / "models" / "mc_dropout_lam0_split0.bin"
-    model.write_bytes(model.read_bytes()[:200])
-    capsys.readouterr()
-    assert cli.main(["recalibrate", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and str(model) in err
+    saved = model.read_bytes()
+    # a NaN or an Inf weight is as corrupt as a short file
+    for bad in (saved[:200], saved[:-8] + np.float64(np.nan).tobytes(),
+                saved[:-8] + np.float64(-np.inf).tobytes()):
+        model.write_bytes(bad)
+        capsys.readouterr()
+        assert cli.main(["recalibrate", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(model) in err
+    with pytest.raises(ValueError, match="non-finite weights"):
+        load_params(model)
     # every proper prefix, served from memory: writing ~130k files would
     # dominate the test
     view = memoryview(blob)
