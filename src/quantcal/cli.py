@@ -8,10 +8,10 @@ mean +/- std tables from the results.
 `train` and `sweep` take a JSON config whose keys are all optional (the
 defaults reproduce the reference settings; the training, ensemble, metric
 and split defaults are those of the component configs) plus flag overrides.
-`recalibrate` and `report` take only `--config` and `--out`: everything
-else they read from the run directory, so `calib_split` is chosen at train
-time. `--desk-scale` caps epochs and rows so a full run finishes in well
-under a minute.
+`recalibrate` and `report` take only `--config` and `--out` and read only
+`out` from the config: everything else they read from the run directory,
+so `calib_split` is chosen at train time. `--desk-scale` caps epochs and
+rows so a full run finishes in well under a minute.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from . import __version__
-from .datasets import SplitSpec, load_csv, load_from_descriptor, make_splits, standardize, synth_hetero
+from .datasets import (Dataset, SplitSpec, load_csv, load_from_descriptor, make_splits, read_csv_rows,
+                       standardize, synth_hetero)
 from .gaussian import pit
 from .metrics import MetricConfig, MetricsReport, calibration_error
 from .models import (
@@ -62,9 +63,6 @@ RELIABILITY_FIELDS = ("dataset", "model", "lam", "split", "expected", "observed"
 SUMMARY_FIELDS = ("dataset", "model", "lam", "metric", "mean", "std")
 RECALIB_FIELDS = ("dataset", "model", "lam", "split", "pre_calib_error", "post_calib_error", "flag")
 CURVE_FIELDS = ("lam", "calib_error_mean", "calib_error_std", "rmse_mean", "rmse_std", "nll_mean", "nll_std")
-# how `report` reads metrics.csv and recalib.csv back; other columns are text
-_COLUMN_TYPES = {"split": int, "n_train": int, "n_test": int,
-                 **dict.fromkeys(("lam", *METRICS, "pre_calib_error", "post_calib_error"), float)}
 
 
 class ConfigError(Exception):
@@ -226,12 +224,12 @@ def _load_base_dataset(cfg):
 
 
 def _split_runs(cfg, ds):
-    """The experiment loop every verb shares. Yields (split, fit, calib_idx,
+    """The experiment loop every verb shares. Yields (split, fit, calib,
     test_idx, transform) per seeded split: the standardized rows the model
-    trains on, the rows that fit the calibration map, the test rows, and the
+    trains on and those that fit the calibration map, the test rows, and the
     standardization fitted on the training rows. `holdout` carves a seeded
     fifth of the train split off before training so the map never sees
-    training rows; otherwise the calibration rows are the training rows."""
+    training rows; otherwise `calib` is `fit` itself, not a second copy."""
     for split, (train_idx, test_idx) in enumerate(make_splits(len(ds), cfg.split_spec())):
         fit_idx = calib_idx = train_idx
         if cfg.calib_split == "holdout":
@@ -240,7 +238,10 @@ def _split_runs(cfg, ds):
             calib_idx = np.sort(train_idx[perm[:n_calib]])
             fit_idx = np.sort(train_idx[perm[n_calib:]])
         fit, transform = standardize(ds.subset(fit_idx))
-        yield split, fit, calib_idx, test_idx, transform
+        calib = fit
+        if calib_idx is not fit_idx:
+            calib = Dataset(*transform.apply(ds.features[calib_idx], ds.targets[calib_idx]))
+        yield split, fit, calib, test_idx, transform
 
 
 def _predict(cfg, members, x, seed):
@@ -403,11 +404,7 @@ def cmd_recalibrate(cfg):
     mcfg = cfg.metric_config()
     (out_dir / "maps").mkdir(exist_ok=True)
     rows = []
-    for split, fit, calib_idx, test_idx, transform in _split_runs(cfg, ds):
-        if cfg.calib_split == "train":
-            x_calib, y_calib = fit.features, fit.targets
-        else:
-            x_calib, y_calib = transform.apply(ds.features[calib_idx], ds.targets[calib_idx])
+    for split, _, calib, test_idx, transform in _split_runs(cfg, ds):
         x_test, y_test = transform.apply(ds.features[test_idx], ds.targets[test_idx])
         for lam in lambdas:
             paths = _artifact_paths(out_dir, cfg, lam, split)
@@ -421,8 +418,8 @@ def cmd_recalibrate(cfg):
                     f"{members[0].n_features} features, dataset has {x_test.shape[1]}"
                 )
             seed = cfg.train_seed(split)
-            pred_calib = _predict(cfg, members, x_calib, seed + CALIB_SEED_OFFSET)
-            cal_map = fit_calibration_map(pred_calib, y_calib)
+            pred_calib = _predict(cfg, members, calib.features, seed + CALIB_SEED_OFFSET)
+            cal_map = fit_calibration_map(pred_calib, calib.targets)
             save_map(cal_map, out_dir / "maps" / f"{cfg.model}_lam{lam:g}_split{split}.csv")
             pred_test = _predict(cfg, members, x_test, seed + PREDICT_SEED_OFFSET)
             pits = pit(pred_test, y_test)
@@ -440,25 +437,18 @@ def cmd_recalibrate(cfg):
 
 
 def _read_results(path, fields):
-    """Rows of a results CSV written with header `fields`, as dicts with the
-    numeric columns converted; blank lines are skipped and an empty file has
-    no rows. Any other file raises a ValueError naming it, and the row and
-    column at fault."""
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """Rows of a results CSV written with header `fields`, as dicts with all
+    but the text columns converted to float; an empty file has no rows. Any other
+    file raises a ValueError naming it, and the row and column at fault."""
+    rows = read_csv_rows(path)
     if rows and tuple(rows[0]) != fields:
         raise ValueError(f"{path}: expected the columns {list(fields)}, got {rows[0]}")
     records = []
     for r, row in enumerate(rows[1:]):
-        if len(row) != len(fields):
-            raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {len(fields)}")
         record = {}
         for name, cell in zip(fields, row):
             try:
-                record[name] = _COLUMN_TYPES.get(name, str)(cell)
+                record[name] = cell if name in ("dataset", "model", "flag") else float(cell)
             except ValueError:
                 raise ValueError(f"{path}: non-numeric value {cell!r} at row {r}, column {name}") from None
         records.append(record)
@@ -570,6 +560,9 @@ def _config_from_args(args):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
+    if args.command in ("recalibrate", "report"):
+        # they read the run's own settings from its directory
+        cfg = ExperimentConfig(out=cfg.out)
     cfg.validate()
     return cfg
 

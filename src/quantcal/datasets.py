@@ -85,6 +85,22 @@ class Dataset:
         return Dataset(self.features[idx], self.targets[idx], list(self.feature_names))
 
 
+def read_csv_rows(path, delimiter=",", has_header=True):
+    """The nonblank rows of a CSV file, each as wide as the first; a ragged
+    row (numbered from 0 after any header), bytes that are not text or a
+    field past the csv size limit raise a ValueError naming the path."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    width = len(rows[0]) if rows else 0
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {r - has_header} has {len(row)} cells, expected {width}")
+    return rows
+
+
 def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     """Read a numeric CSV into a Dataset.
 
@@ -92,12 +108,7 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     allowed. Any non-numeric or non-finite cell raises with its row and
     column.
     """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        try:
-            rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ValueError(f"load_csv: {path}: {exc}") from None
+    rows = read_csv_rows(path, delimiter, has_header)
     if not rows:
         raise ValueError(f"load_csv: {path} is empty")
     if has_header:
@@ -115,11 +126,6 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     else:
         target_idx = int(target_column) % len(header)
     width = len(header)
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(
-                f"load_csv: {path}: row {r} has {len(row)} cells, expected {width}"
-            )
     try:
         # numpy parses each string with Python's float(): same spellings, same bits
         data = np.array(rows, dtype=np.float64)

@@ -123,8 +123,8 @@ def save_map(cal_map, path):
 def load_map(path):
     """Read a map written by `save_map`; any malformed file raises a
     ValueError that names it."""
+    data = load_csv(path, target_column="r")  # its errors name the path
     try:
-        data = load_csv(path, target_column="r")
         if data.feature_names != ["p"]:
             raise ValueError("expected the two columns p and r")
         return CalibrationMap(data.features[:, 0], data.targets)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -262,6 +263,23 @@ def test_run_directory_verbs_take_only_config_and_out(tiny_run, capsys, verb, fl
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
     assert not (tiny_run / "recalib.csv").exists() and not (tiny_run / "report.txt").exists()
+
+
+def test_run_directory_verbs_read_only_out_from_config(tiny_run, tmp_path, capsys):
+    # the run's settings come from its directory, so the config's other keys
+    # are not read and one config serves all four verbs; unknown keys still fail
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run, run)
+    cfg = write_config(tmp_path, {"out": str(run), "model": "ensemble", "lambdas": [7],
+                                  "calib_split": "holdout", "epochs": 0})
+    for verb in ("recalibrate", "report"):
+        assert main([verb, "--out", str(run)]) == 0
+        expected = capsys.readouterr().out
+        assert main([verb, "--config", cfg]) == 0
+        assert capsys.readouterr().out == expected
+    unknown = write_config(tmp_path, {"out": str(run), "outt": "x"}, name="unknown.json")
+    assert main(["report", "--config", unknown]) == 2
+    assert "unknown keys ['outt']" in capsys.readouterr().err
 
 
 def test_sweep_writes_curve_and_matches_train(tmp_path):
