@@ -17,6 +17,7 @@ numpy with no tape, computing the first layer once per call.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -31,6 +32,8 @@ from .ndgrad import Node
 from .softsort import SoftSortConfig
 
 HIDDEN_WIDTH = 128
+# the most rows in one block of MC-dropout inference: 4 MiB per (rows, 128) array
+_PREDICT_BLOCK_ROWS = 4096
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 _MAGIC = b"QCMP"
@@ -125,23 +128,27 @@ def init_mlp(n_features, rng):
 
 
 def _check_input(x, w1):
+    """`x` as a float64 array, which must be (n, d) for w1 of shape (d, 128)."""
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w1.shape[0]:
         raise ValueError(f"mlp: expected (n, d) input for w1 of shape {w1.shape}, got {x.shape}")
+    return x
 
 
-def _affine(h, w, b):
-    """The pre-activation h @ w + b; a non-finite entry raises, as it did on
-    the tape, so `train` reports a diverged step."""
-    a = h @ w
+def _affine(h, w, b, out=None):
+    """The pre-activation h @ w + b, written into `out` if one is given; a
+    non-finite entry raises, as it did on the tape, so `train` reports a
+    diverged step."""
+    a = np.matmul(h, w, out=out)
     a += b
     if not np.all(np.isfinite(a)):
         raise ValueError("mlp: non-finite values in a pre-activation")
     return a
 
 
-def _hidden(h, w, b, mask=None):
+def _hidden(h, w, b, mask=None, out=None):
     """relu(h @ w + b), times a keep-scaled dropout mask if one is given."""
-    h = _affine(h, w, b)
+    h = _affine(h, w, b, out)
     np.maximum(h, 0.0, out=h)
     if mask is not None:
         h *= mask
@@ -211,29 +218,26 @@ def mlp_forward(params, x, dropout_masks=None):
     return mu, sigma
 
 
-def _head(h1, params, masks=None):
-    """Layers 2 and 3 and the head on a layer-1 activation, off the tape.
-    With a pair of masks it is one MC-dropout pass, and the first mask's
-    buffer takes the masked activation."""
-    m1, m2 = masks if masks is not None else (None, None)
-    if m1 is not None:
-        h1 = np.multiply(h1, m1, out=m1)
-    h2 = _hidden(h1, params.w2.value, params.b2.value, m2)
+def _head(h2, params):
+    """The (mu, sigma) head on a layer-2 activation, off the tape."""
     out = _affine(h2, params.w3.value, params.b3.value)
     return GaussianPrediction(out[:, 0], np.logaddexp(0.0, out[:, 1]) + 1e-6)
 
 
-def _layer1(params, x):
-    """relu(x @ w1 + b1), off the tape. Dropout comes after it, so it is the
-    same for every MC pass."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_input(x, params.w1.value)
-    return _hidden(x, params.w1.value, params.b1.value)
-
-
 def predict(params, x):
     """Deterministic single forward pass (no dropout), off the tape."""
-    return _head(_layer1(params, x), params)
+    h1 = _hidden(_check_input(x, params.w1.value), params.w1.value, params.b1.value)
+    return _head(_hidden(h1, params.w2.value, params.b2.value), params)
+
+
+def _row_blocks(n):
+    """Slices that cut n rows into the fewest blocks of at most
+    `_PREDICT_BLOCK_ROWS`, as even as possible. No block is a single row
+    unless n is one: a one-row matmul rounds differently from its row in a
+    larger one."""
+    k = max(1, -(-n // _PREDICT_BLOCK_ROWS))
+    edges = [n * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 @dataclass
@@ -361,19 +365,36 @@ def train(dataset, cfg, adv_eps=None, loss_history=None):
 
 def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     """Aggregate `passes` stochastic forward passes into one Gaussian, off
-    the tape. Layer 1 is computed once; each pass draws its two masks in
-    the order training does."""
+    the tape. Layer 1 is computed once, since dropout comes after it. Each
+    pass draws its two masks over all rows in the order training does, runs
+    layer 2 in row blocks (`_row_blocks`) into one (n, 128) buffer, and
+    applies the head to all rows at once: the (n, 128) @ (128, 2) product
+    rounds a row differently with the row count; the 128-wide layers do not."""
     if passes < 1:
         raise ValueError(f"mc_dropout_predict: passes must be positive, got {passes}")
     if not 0.0 < dropout_rate < 1.0:
         raise ValueError(
             f"mc_dropout_predict: dropout_rate must be in (0, 1), got {dropout_rate}"
         )
-    h1 = _layer1(params, x)
+    x = _check_input(x, params.w1.value)
+    blocks = _row_blocks(len(x))
+    h1 = [_hidden(x[rows], params.w1.value, params.b1.value) for rows in blocks]
     rng = np.random.default_rng(seed)
+    keep = 1.0 - dropout_rate
+    # a pass's keep decisions for both layers and all rows, drawn in the order
+    # `_dropout_masks` draws them, and a block's two keep-scaled masks
+    kept = np.empty((2, len(x), HIDDEN_WIDTH), dtype=bool)
+    masks = np.empty((2, max(rows.stop - rows.start for rows in blocks), HIDDEN_WIDTH))
+    h2 = np.empty((len(x), HIDDEN_WIDTH))
     preds = []
     for _ in range(passes):
-        preds.append(_head(h1, params, _dropout_masks(rng, len(h1), dropout_rate)))
+        for layer_kept, rows in itertools.product(kept, blocks):
+            np.less(rng.random(out=masks[0, : rows.stop - rows.start]), keep, out=layer_kept[rows])
+        for rows, a1 in zip(blocks, h1):
+            m1, m2 = (np.multiply(k[rows], 1.0 / keep, out=m[: rows.stop - rows.start])
+                      for k, m in zip(kept, masks))
+            _hidden(np.multiply(a1, m1, out=m1), params.w2.value, params.b2.value, m2, out=h2[rows])
+        preds.append(_head(h2, params))
     return aggregate_mc(preds)
 
 

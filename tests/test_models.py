@@ -400,20 +400,59 @@ def test_mc_dropout_validation():
         mlp_forward(params, np.ones((2, 2)), masks)
 
 
-def test_mc_dropout_predict_keeps_no_graph():
-    # a pass's intermediates are (n, 128) arrays: the shared first layer, the
-    # two masks (the first one holds the masked input) and the second layer's
-    # output, plus a uniform draw and its comparison while a mask is made
+def mc_dropout_peak(n):
+    """Traced peak bytes of a 10-pass `mc_dropout_predict` on n rows, in
+    units of one (n, 128) float64 array."""
     rng = np.random.default_rng(0)
     params = init_mlp(3, rng)
-    x = rng.normal(size=(2000, 3))
+    x = rng.normal(size=(n, 3))
     tracemalloc.start()
     try:
         mc_dropout_predict(params, x, passes=10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * x.shape[0] * HIDDEN_WIDTH * 8, peak / (x.shape[0] * HIDDEN_WIDTH * 8)
+    return peak / (n * HIDDEN_WIDTH * 8)
+
+
+def test_mc_dropout_predict_keeps_no_graph():
+    # the (n, 128) arrays are the shared first layer and the second layer's
+    # output; the keep decisions take a quarter of one, and with one block
+    # its two masks (the first one holds the masked input) are two more
+    assert mc_dropout_peak(2000) < 5
+
+
+def test_mc_dropout_predict_masks_stay_block_sized():
+    # eight blocks: the two masks are a quarter of an (n, 128) array
+    assert mc_dropout_peak(8 * models._PREDICT_BLOCK_ROWS) < 3.5
+
+
+def test_mc_dropout_predict_in_row_blocks_equals_tape_chain_bitwise():
+    # 2 * block + 1 rows make three blocks of 2731; the chain takes all at once
+    n, rate, passes = 2 * models._PREDICT_BLOCK_ROWS + 1, 0.25, 2
+    assert len(models._row_blocks(n)) == 3
+    rng = np.random.default_rng(21)
+    params = random_params(rng, 3)
+    x = rng.normal(size=(n, 3))
+    frozen = MlpParams(*map(nd.constant, params.arrays()))
+    mask_rng = np.random.default_rng(5)
+    preds = []
+    for _ in range(passes):
+        mu, sigma = chain_mlp_forward(frozen, x, zero_one_masks(mask_rng, n, rate), rate)
+        preds.append(GaussianPrediction(mu.value, sigma.value))
+    want = aggregate_mc(preds)
+    got = mc_dropout_predict(params, x, passes=passes, dropout_rate=rate, seed=5)
+    assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
+
+
+def test_row_blocks_are_even_and_never_one_row():
+    block = models._PREDICT_BLOCK_ROWS
+    for n in (0, 1, 2, block, block + 1, 3 * block, 3 * block + 1, 10 * block - 1):
+        sizes = [rows.stop - rows.start for rows in models._row_blocks(n)]
+        assert sum(sizes) == n and max(sizes) <= block
+        assert max(sizes) - min(sizes) <= 1
+        assert len(sizes) == max(1, -(-n // block))
+        assert n < 2 or min(sizes) >= 2
 
 
 def test_fgsm_moves_inputs_by_eps_signs():
