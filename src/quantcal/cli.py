@@ -568,7 +568,10 @@ def _config_from_args(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
     try:
         cfg = _config_from_args(args)
         if args.command == "recalibrate":

@@ -7,6 +7,9 @@ Slow is fine here; independent is the point.
 
 The tape ops at the end are the generic chain the fused MLP op replaced;
 the fused op and the numpy inference path must reproduce it bit for bit.
+`reference_soft_sorted` is the soft sort built from the full n x n
+relaxed permutation matrix; the closed form must stay within a stated
+bound of it.
 """
 
 import math
@@ -147,3 +150,28 @@ def chain_mlp_forward(params, x, dropout_masks=None, dropout_rate=0.0):
         h = dropout(h, dropout_masks[1], dropout_rate)
     out = nd.add(matmul(h, params.w3), params.b3)
     return take(out, (slice(None), 0)), nd.add(softplus(take(out, (slice(None), 1))), 1e-6)
+
+
+def reference_soft_sorted(s, tau):
+    """Soft sort through the full relaxed permutation matrix P: its value
+    and its backward through the softmax, the scores and the column sums of
+    |s_j - s_k|, as one tape op."""
+    node = nd.constant(s)
+    v = node.value
+    n = v.shape[0]
+    coef = (2 * np.arange(1, n + 1) - n - 1).astype(np.float64)
+    diff = v[:, None] - v[None, :]
+    col_sums = np.abs(diff).sum(axis=0, keepdims=True)  # (1, n): sum_k |v_j - v_k|
+    scores = (coef[:, None] @ v.reshape((1, n)) - col_sums) / tau
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gp = g.reshape((n, 1)) @ v.reshape((1, n))
+        gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) / tau
+        gs = -gz.sum(axis=0, keepdims=True) * np.sign(diff)
+        grad = gs.sum(axis=1) - gs.sum(axis=0)
+        grad = grad + (coef[:, None].T @ gz).reshape((n,))
+        return (grad + (p.T @ g.reshape((n, 1))).reshape((n,)),)
+
+    return nd._result("soft_sorted", (p @ v.reshape((n, 1))).reshape((n,)), (node,), backward)

@@ -232,9 +232,7 @@ def test_recalibrate_uses_stored_calib_split(tmp_path, capsys, mode):
     # the carve is made before training, so recalibrate takes no choice of rows
     other = "train" if mode == "holdout" else "holdout"
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["recalibrate", "--out", str(out), "--calib-split", other])
-    assert exc.value.code == 2
+    assert main(["recalibrate", "--out", str(out), "--calib-split", other]) == 2
     assert "unrecognized arguments: --calib-split" in capsys.readouterr().err
 
 
@@ -258,11 +256,20 @@ def tiny_run(tmp_path_factory):
 def test_run_directory_verbs_take_only_config_and_out(tiny_run, capsys, verb, flag):
     # everything else comes from the run directory, so an experiment flag
     # would be ignored; it is a usage error instead
-    with pytest.raises(SystemExit) as exc:
-        main([verb, "--out", str(tiny_run), *flag])
-    assert exc.value.code == 2
+    assert main([verb, "--out", str(tiny_run), *flag]) == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
     assert not (tiny_run / "recalib.csv").exists() and not (tiny_run / "report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["train", "--help"], 0), (["--version"], 0), (["fly"], 2), ([], 2)],
+)
+def test_usage_returns_argparse_status(capsys, argv, code):
+    # an in-process caller gets a status back, never SystemExit
+    assert main(argv) == code
+    if code == 2:
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_run_directory_verbs_read_only_out_from_config(tiny_run, tmp_path, capsys):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_soft_sorted
 from quantcal import ndgrad as nd
 from quantcal.softsort import SoftSortConfig, soft_permutation, soft_sorted
 
@@ -131,3 +134,50 @@ def test_cold_agreement_property(seed, n):
     s = spaced_vector(rng, n)
     soft = soft_sorted(s, COLD)
     assert np.max(np.abs(soft - np.sort(s))) < 1e-4
+
+
+def value_and_gradient(op, s, g):
+    leaf = nd.param(s)
+    out = op(leaf)
+    return out.value, nd.gradients((out * nd.constant(g)).sum(), [leaf])[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=700),
+    st.sampled_from([0.001, 0.01, 0.1, 1.0, 7.5]),
+    st.sampled_from([1.0, 10.0, 100.0]),
+    st.booleans(),
+)
+def test_closed_form_stays_near_the_full_matrix_reference(seed, n, tau, spread, ties):
+    # at spread 10 or more and tau 0.01 or less nearly every exponential
+    # underflows and is flushed to 0
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, spread, size=n)
+    if ties:
+        s = rng.choice(s[: max(1, n // 4)], size=n)
+    g = rng.normal(size=n)
+    value, grad = value_and_gradient(lambda x: soft_sorted(x, SoftSortConfig(tau=tau)), s, g)
+    ref_value, ref_grad = value_and_gradient(lambda x: reference_soft_sorted(x, tau), s, g)
+    scale = np.max(np.abs(s))
+    # measured worst over 1400 draws: 4.2e-13 on values; 4.7e-13 on the
+    # gradient, which grows with the score scale max|s| / tau because the
+    # closed form takes the score terms as differences of two matmul columns
+    assert np.max(np.abs(value - ref_value)) <= 2e-12 * scale
+    assert np.max(np.abs(grad - ref_grad)) <= 2e-12 * (1.0 + scale / tau) * np.max(np.abs(ref_grad))
+
+
+def test_forward_and_backward_keep_about_one_square_array():
+    # the exponentials E are the only n x n float64 array that outlives a
+    # statement; the flush mask adds an eighth of one
+    n = 2048
+    s = np.random.default_rng(0).uniform(size=n)
+    tracemalloc.start()
+    try:
+        leaf = nd.param(s)
+        nd.gradients(soft_sorted(leaf).sum(), [leaf])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * n * 8) < 1.5
