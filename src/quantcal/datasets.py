@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -101,13 +102,74 @@ def read_csv_rows(path, delimiter=",", has_header=True):
     return rows
 
 
+def _target_index(path, header, target_column):
+    """Position of the target: a name in `header`, or an integer position in
+    [-width, width)."""
+    if isinstance(target_column, str):
+        if target_column not in header:
+            raise ValueError(
+                f"load_csv: {path}: target column {target_column!r} not in header {header}"
+            )
+        return header.index(target_column)
+    width, position = len(header), int(target_column)
+    if not -width <= position < width:
+        raise ValueError(f"load_csv: {path}: target column {position} is outside [-{width}, {width})")
+    return position % width
+
+
 def load_csv(path, target_column=-1, delimiter=",", has_header=True):
     """Read a numeric CSV into a Dataset.
 
-    target_column: name (requires a header) or integer position, negatives
-    allowed. Any non-numeric or non-finite cell raises with its row and
-    column.
+    target_column: name (requires a header) or integer position in
+    [-width, width). The header is the first nonblank
+    row, read with `csv`; the target is checked against it before any cell
+    is parsed. The cells go through numpy's C text reader (`np.loadtxt`),
+    which makes no Python string per cell and rounds correctly, as float()
+    does, so the values are float()'s to the bit. Blank lines are skipped,
+    and a cell may be quoted with '"' and padded with whitespace.
+
+    The spellings it accepts are float()'s, with these exceptions:
+    underscores between digits ('1_0') and non-ASCII digits ('１', '٣') are
+    rejected; padding with the ASCII separator controls '\\x1c'-'\\x1f' is
+    accepted; and a cell longer than csv's field size limit (131072
+    characters) is read.
+
+    Only a file that fails is read again, with `read_csv_rows` and float(),
+    to name the fault: a ragged row, or a non-numeric or non-finite cell
+    with its row and column. Every error is a ValueError naming the path.
     """
+    header = None
+    try:
+        with open(path, newline="") as fh:
+            if has_header:
+                header = next((r for r in csv.reader(fh, delimiter=delimiter) if r), None)
+                if header is None:
+                    raise ValueError("no header")
+                target_idx = _target_index(path, header, target_column)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on no rows
+                data = np.loadtxt(fh, np.float64, comments=None, delimiter=delimiter,
+                                  quotechar='"', ndmin=2)
+        if header is None:
+            header = [f"col{i}" for i in range(data.shape[1])]
+            target_idx = _target_index(path, header, target_column)
+        if data.shape[0] == 0 or data.shape[1] != len(header):
+            raise ValueError(f"{data.shape[0]} rows of {data.shape[1]} cells under {len(header)} names")
+        if not np.isfinite(data).all():
+            raise ValueError("non-finite value")
+    except (ValueError, UnicodeDecodeError, csv.Error) as exc:
+        _explain_failure(path, target_column, delimiter, has_header, exc)
+    feature_cols = [i for i in range(len(header)) if i != target_idx]
+    names = [header[i] for i in feature_cols]
+    return Dataset(data[:, feature_cols], data[:, target_idx], names)
+
+
+def _explain_failure(path, target_column, delimiter, has_header, reason):
+    """Raise the ValueError for a CSV that `load_csv` turned down. The file
+    is read again with `read_csv_rows` and float(), and the first fault in
+    this order names the message: bytes that are not text or a ragged row,
+    no rows, a header with no rows, the target, a non-numeric cell, a
+    non-finite cell. If there is none, `reason` (numpy's) is the message."""
     rows = read_csv_rows(path, delimiter, has_header)
     if not rows:
         raise ValueError(f"load_csv: {path} is empty")
@@ -117,40 +179,24 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
             raise ValueError(f"load_csv: {path} has a header but no data rows")
     else:
         header = [f"col{i}" for i in range(len(rows[0]))]
-    if isinstance(target_column, str):
-        if target_column not in header:
-            raise ValueError(
-                f"load_csv: {path}: target column {target_column!r} not in header {header}"
-            )
-        target_idx = header.index(target_column)
-    else:
-        target_idx = int(target_column) % len(header)
-    width = len(header)
-    try:
-        # numpy parses each string with Python's float(): same spellings, same bits
-        data = np.array(rows, dtype=np.float64)
-    except ValueError:
-        for r, row in enumerate(rows):
-            for c, cell in enumerate(row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"load_csv: {path}: non-numeric value {cell!r} at row {r}, "
-                        f"column {c} ({header[c]})"
-                    ) from None
-        raise
-    # float() accepts 'nan' and 'inf'; one vectorized pass finds the first
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        r, c = bad[0]
-        raise ValueError(
-            f"load_csv: {path}: non-finite value {rows[r][c]!r} at row {r}, "
-            f"column {c} ({header[c]})"
-        )
-    feature_cols = [i for i in range(width) if i != target_idx]
-    names = [header[i] for i in feature_cols]
-    return Dataset(data[:, feature_cols], data[:, target_idx], names)
+    _target_index(path, header, target_column)
+    for r, row in enumerate(rows):
+        for c, cell in enumerate(row):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"load_csv: {path}: non-numeric value {cell!r} at row {r}, "
+                    f"column {c} ({header[c]})"
+                ) from None
+    for r, row in enumerate(rows):
+        for c, cell in enumerate(row):
+            if not math.isfinite(float(cell)):
+                raise ValueError(
+                    f"load_csv: {path}: non-finite value {cell!r} at row {r}, "
+                    f"column {c} ({header[c]})"
+                ) from None
+    raise ValueError(f"load_csv: {path}: {reason}") from None
 
 
 def standardize(dataset):

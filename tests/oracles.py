@@ -9,9 +9,12 @@ The tape ops at the end are the generic chain the fused MLP op replaced;
 the fused op and the numpy inference path must reproduce it bit for bit.
 `reference_soft_sorted` is the soft sort built from the full n x n
 relaxed permutation matrix; the closed form must stay within a stated
-bound of it.
+bound of it. `reference_load_csv` is the CSV reader that made a Python
+string per cell and converted them with float(); numpy's text reader must
+give its values to the bit.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -175,3 +178,29 @@ def reference_soft_sorted(s, tau):
         return (grad + (p.T @ g.reshape((n, 1))).reshape((n,)),)
 
     return nd._result("soft_sorted", (p @ v.reshape((n, 1))).reshape((n,)), (node,), backward)
+
+
+def reference_load_csv(path, target_column=-1, delimiter=",", has_header=True):
+    """(features, targets, feature names) of a numeric CSV read with
+    `csv.reader` and converted in one `np.array` call, which applies float()
+    to every cell; any file it cannot read raises a ValueError."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if has_header:
+        header, rows = (rows[0], rows[1:]) if rows else ([], [])
+    else:
+        header = [f"col{i}" for i in range(len(rows[0]))] if rows else []
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: no rows, or a ragged row")
+    if isinstance(target_column, str):
+        target_idx = header.index(target_column)
+    else:
+        target_idx = int(target_column) % len(header)
+    data = np.array(rows, dtype=np.float64)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite value")
+    feature_cols = [i for i in range(len(header)) if i != target_idx]
+    return data[:, feature_cols], data[:, target_idx], [header[i] for i in feature_cols]

@@ -4,6 +4,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quantcal import cli
 from quantcal.cli import ExperimentConfig, main
@@ -346,6 +348,33 @@ def test_report_names_malformed_results_file(tmp_path, capsys, name, case):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
     assert not (tmp_path / "report.txt").exists()
+
+
+RESULTSISH = st.text(alphabet='0123456789.-e,dm* "\r\nnaif\xe9', max_size=80)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    name=st.sampled_from(["metrics.csv", "recalib.csv"]),
+    body=st.one_of(st.binary(max_size=80), RESULTSISH.map(str.encode)),
+    with_header=st.booleans(),
+)
+def test_report_reads_any_bytes_or_names_the_file_once(tmp_path, capsys, name, body, with_header):
+    fields = {"metrics.csv": cli.METRICS_FIELDS, "recalib.csv": cli.RECALIB_FIELDS}[name]
+    write_results(tmp_path / "metrics.csv", cli.METRICS_FIELDS, [["d", "m", 0.0, 0, 80, 20, 0.5, 1.0, 2.0]])
+    path = tmp_path / name
+    header = (",".join(fields) + "\n").encode() if with_header else b""
+    path.write_bytes(header + body)
+    try:
+        cli._read_results(path, fields)
+    except ValueError as exc:
+        assert str(exc).count(str(path)) == 1
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.count(str(path)) == 1 and "Traceback" not in err
+    else:
+        assert main(["report", "--out", str(tmp_path)]) in (0, 2)
 
 
 def test_report_bolds_better_column(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from oracles import synth_hetero_truth
+from oracles import reference_load_csv, synth_hetero_truth
 from quantcal.datasets import (
     Dataset,
     SplitSpec,
@@ -93,6 +96,122 @@ def test_load_csv_errors(tmp_path):
     with pytest.raises(ValueError, match="target column 'z'") as exc:
         load_csv(tmp_path / "a.csv", target_column="z")
     assert str(tmp_path / "a.csv") in str(exc.value)
+    path = write_csv(tmp_path / "w.csv", "a,b,y\n1,2,3\n")
+    for position in (3, 5, -4):  # the first two used to wrap to columns 0 and 2
+        with pytest.raises(ValueError, match=rf"target column {position} is outside \[-3, 3\)") as exc:
+            load_csv(path, target_column=position)
+        assert str(path) in str(exc.value)
+    assert np.array_equal(load_csv(path, target_column=-3).targets, [1.0])
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -1.5e-320, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+
+
+def quoted_or_not(draw, text):
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    table=st.integers(1, 5).flatmap(
+        lambda w: st.lists(st.lists(FINITE, min_size=w, max_size=w), min_size=1, max_size=8)
+    ),
+    spell=st.sampled_from([repr, "%.17g".__mod__]),
+    delimiter=st.sampled_from([",", ";", "\t"]),
+    has_header=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    data=st.data(),
+)
+def test_load_csv_matches_the_float_reader_bit_for_bit(
+    tmp_path, table, spell, delimiter, has_header, newline, data
+):
+    width = len(table[0])
+    names = [f"c{i}" for i in range(width)]
+    lines = [delimiter.join(quoted_or_not(data.draw, name) for name in names)] if has_header else []
+    for row in table:
+        lines += [""] * data.draw(st.integers(0, 2))  # blank lines are skipped
+        lines.append(delimiter.join(quoted_or_not(data.draw, spell(v)) for v in row))
+    path = tmp_path / "t.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    target = data.draw(st.sampled_from(names) if has_header and data.draw(st.booleans())
+                       else st.integers(-width, width - 1))
+    ds = load_csv(path, target, delimiter, has_header)
+    features, targets, feature_names = reference_load_csv(path, target, delimiter, has_header)
+    assert ds.features.tobytes() == features.tobytes() and ds.features.shape == features.shape
+    assert ds.targets.tobytes() == targets.tobytes()
+    assert ds.feature_names == feature_names
+    written = np.array(table)
+    column = names.index(target) if isinstance(target, str) else target % width
+    assert ds.targets.tobytes() == written[:, column].tobytes()
+    assert ds.features.tobytes() == np.delete(written, column, axis=1).tobytes()
+
+
+CSVISH = st.text(alphabet='0123456789.-+eE_,;\t "\r\nnaifINF\x1c\xa0\uff11', max_size=120)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    content=st.one_of(st.binary(max_size=120), CSVISH.map(str.encode)),
+    target=st.one_of(st.integers(-3, 3), st.sampled_from(["a", "0"])),
+    has_header=st.booleans(),
+)
+def test_load_csv_any_bytes_load_or_name_the_file(tmp_path, content, target, has_header):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(content)
+    try:
+        ds = load_csv(path, target, has_header=has_header)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    assert np.isfinite(ds.features).all() and np.isfinite(ds.targets).all()
+    try:
+        features, targets, _ = reference_load_csv(path, target, has_header=has_header)
+    except ValueError:
+        return  # a spelling only numpy's reader accepts
+    assert ds.features.tobytes() == features.tobytes() and ds.targets.tobytes() == targets.tobytes()
+
+
+@pytest.mark.parametrize(
+    "cell, value",
+    [
+        ("1_0", None),  # float() reads 10.0
+        ("\uff11", None),  # full-width 1; float() reads 1.0
+        ("\u0663", None),  # Arabic-Indic 3; float() reads 3.0
+        ("\x1c1", 1.0),  # float() rejects the separator control
+        ("0" * 140_000 + "1", 1.0),  # past csv's field size limit
+    ],
+)
+def test_load_csv_spellings_that_differ_from_float(tmp_path, cell, value):
+    path = tmp_path / "s.csv"
+    path.write_text(f"a,b\n{cell},2\n", encoding="utf-8")
+    if value is None:
+        assert reference_load_csv(path)[0][0, 0] == float(cell)
+        with pytest.raises(ValueError) as exc:
+            load_csv(path)
+        assert str(path) in str(exc.value)
+    else:
+        with pytest.raises(ValueError):
+            reference_load_csv(path)
+        assert load_csv(path).features[0, 0] == value
+
+
+def test_load_csv_peak_stays_near_its_data(tmp_path):
+    table = np.random.default_rng(0).standard_normal((20000, 11))
+    path = tmp_path / "big.csv"
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+               header=",".join(f"c{i}" for i in range(11)), comments="")
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.column_stack([ds.features, ds.targets]), table)
+    # the float64 table plus its feature copy; a string per cell was 12.5x
+    assert peak < 3 * table.nbytes
 
 
 def test_standardize_population_stats():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import minimax_isotonic
@@ -203,6 +203,23 @@ def test_load_map_rejects_other_files(tmp_path):
         assert str(exc.value).startswith(f"load_map: {path} is not a calibration map file") == (
             content in bad_maps
         )
+
+
+MAPISH = st.text(alphabet='0123456789.-e,pr "\r\nnaif', max_size=80)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=80), MAPISH.map(str.encode),
+                 MAPISH.map(lambda text: ("p,r\n0,0\n" + text).encode())))
+def test_load_map_any_bytes_load_or_name_the_file_once(tmp_path, content):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(content)
+    try:
+        cal = load_map(path)
+    except ValueError as exc:
+        assert str(exc).count(str(path)) == 1
+        return
+    assert isinstance(cal, CalibrationMap)
 
 
 @settings(max_examples=50, deadline=None)
