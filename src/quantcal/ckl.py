@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import ndgrad as nd
 from .gaussian import gaussian_nll
@@ -93,6 +92,8 @@ def ckl_uniform(samples):
 def _clipped_pit(y, mu, sigma):
     """Phi((y - mu) / sigma) clamped into [PIT_EPS, 1 - PIT_EPS], one tape
     op; the backward uses the exact normal density."""
+    from scipy.special import ndtr
+
     if np.any(sigma.value == 0.0):
         raise ValueError("quantile_reg_loss: zero sigma")
     d = y - mu.value

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import __version__
 from .datasets import (Dataset, SplitSpec, load_csv, load_from_descriptor, make_splits, read_csv_rows,
@@ -380,6 +379,8 @@ def cmd_train(cfg, command="train"):
     for lam, mean in zip(lambdas, means):
         print(f"lam={lam:g}: mean calib_error {mean:.4f}")
     if len(lambdas) > 1:
+        from scipy.stats import spearmanr  # only sweep needs scipy.stats
+
         rho = float(spearmanr(lambdas, means).statistic)
         print(f"spearman(lambda, calib_error) = {rho:.3f}")
     print(f"wrote {out_dir / 'curve.csv'}")
@@ -582,7 +583,7 @@ def main(argv=None):
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError, KeyError) as exc:
+    except (OSError, RuntimeError, ValueError, KeyError) as exc:  # OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -161,7 +161,8 @@ def load_csv(path, target_column=-1, delimiter=",", has_header=True):
         _explain_failure(path, target_column, delimiter, has_header, exc)
     feature_cols = [i for i in range(len(header)) if i != target_idx]
     names = [header[i] for i in feature_cols]
-    return Dataset(data[:, feature_cols], data[:, target_idx], names)
+    # a copy, so the Dataset does not keep the whole table alive
+    return Dataset(data[:, feature_cols], data[:, target_idx].copy(), names)
 
 
 def _explain_failure(path, target_column, delimiter, has_header, reason):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import ndgrad as nd
 
@@ -45,6 +44,8 @@ class GaussianPrediction:
 
 def pit(pred, y):
     """Probability integral transform Phi((y - mu) / sigma), in [0, 1]."""
+    from scipy.special import ndtr
+
     y = np.asarray(y, dtype=np.float64)
     if y.shape != pred.mu.shape:
         raise ValueError(

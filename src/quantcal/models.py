@@ -23,7 +23,6 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import ndgrad as nd
 from .ckl import total_loss
@@ -197,6 +196,8 @@ def mlp_forward(params, x, dropout_masks=None):
     (mu, sigma) head columns, each shaped (n,). `x` is an array or a node;
     `dropout_masks` is an optional pair of keep-scaled masks shaped (n, 128),
     drawn by `_dropout_masks` so that passes replay exactly."""
+    from scipy.special import expit
+
     x = nd.constant(x)
     _check_input(x.value, params.w1.value)
     n = x.shape[0]

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +128,29 @@ def test_missing_dataset_exits_2_with_path(tmp_path, capsys):
     assert main(["train", "--dataset", "boston", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "boston.csv" in err and "fetch" in err
+
+
+def assert_one_error_line(err, path):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_out_that_is_a_file_exits_1_naming_it(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    cfg = write_config(tmp_path, {"synth_n": 60, "epochs": 1, "n_splits": 2, "lambdas": [0.0],
+                                  "mc_passes": 2})
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert_one_error_line(capsys.readouterr().err, out)
+    assert out.read_text() == "not a directory\n"
+
+
+def test_dataset_that_is_a_directory_exits_1_naming_it(tmp_path, capsys):
+    data = tmp_path / "x.csv"
+    data.mkdir()
+    assert main(["train", "--config", write_config(tmp_path), "--dataset", str(data),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert_one_error_line(capsys.readouterr().err, data)
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
@@ -444,10 +471,45 @@ def test_cli_overrides_beat_config(tmp_path):
     assert stored["lambdas"] == [0.0]
 
 
-def test_console_entry_point_runs():
-    import subprocess
-    import sys
+SRC = Path(__file__).resolve().parents[1] / "src"
+COLD_START = """\
+import sys
+from quantcal.cli import main
+if sys.argv[1:]:
+    assert main(sys.argv[1:]) == 0
+print("scipy:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
 
+
+def scipy_in_fresh_interpreter(*argv):
+    """The scipy modules a new interpreter holds after importing quantcal.cli
+    and, given `argv`, running main(argv). This process has scipy loaded
+    already, so the check cannot run here."""
+    proc = subprocess.run([sys.executable, "-c", COLD_START, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    line = next(line for line in proc.stdout.splitlines() if line.startswith("scipy:"))
+    return set(line.split()[1:])
+
+
+def test_import_loads_no_scipy():
+    assert scipy_in_fresh_interpreter() == set()
+
+
+def test_report_loads_no_scipy(tiny_run, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run, run)
+    assert scipy_in_fresh_interpreter("report", "--out", str(run)) == set()
+
+
+def test_train_loads_scipy_special_but_not_stats(tmp_path):
+    loaded = scipy_in_fresh_interpreter("train", "--config", write_config(tmp_path),
+                                        "--out", str(tmp_path / "run"))
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded
+
+
+def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "quantcal.cli", "--version"],
         capture_output=True,

@@ -214,6 +214,16 @@ def test_load_csv_peak_stays_near_its_data(tmp_path):
     assert peak < 3 * table.nbytes
 
 
+def test_load_csv_targets_do_not_keep_the_table_alive(tmp_path):
+    # protein's layout: ten features, the target last, no header
+    table = np.random.default_rng(1).standard_normal((500, 11))
+    path = tmp_path / "protein.csv"
+    np.savetxt(path, table, fmt="%.17g", delimiter=",")
+    ds = load_csv(path, has_header=False)
+    assert ds.targets.base is None and ds.targets.flags.owndata
+    assert np.array_equal(ds.targets, table[:, -1])
+
+
 def test_standardize_population_stats():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(2.0, 3.0, size=(40, 2)), rng.normal(5.0, 2.0, size=40))

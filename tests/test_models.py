@@ -1,12 +1,13 @@
 import contextlib
 import json
+import struct
 import tracemalloc
 import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import chain_mlp_forward
@@ -571,6 +572,57 @@ def test_load_rejects_corrupt_files(tmp_path, monkeypatch, capsys):
             assert str(path) in str(exc)
         else:
             pytest.fail(f"a {prefix}-byte prefix loaded")
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "saved.bin"
+    save_params(init_mlp(2, np.random.default_rng(28)), path)
+    return path.read_bytes()
+
+
+def loads_or_names_the_file_once(path, blob):
+    """Write `blob` to `path` and load it. Either the loaded params save back
+    to the same bytes, or the ValueError names `path` exactly once."""
+    path.write_bytes(blob)
+    try:
+        params = load_params(path)
+    except ValueError as exc:
+        assert str(exc).count(str(path)) == 1
+        return False
+    again = path.with_name("again.bin")
+    save_params(params, again)
+    assert again.read_bytes() == blob
+    return True
+
+
+HEADER = models._MAGIC + struct.pack("<II", models._FORMAT_VERSION, len(models._PARAM_NAMES))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(prefix=st.sampled_from([b"", models._MAGIC, HEADER]), body=st.binary(max_size=200))
+def test_load_params_any_bytes_load_or_name_the_file_once(tmp_path, prefix, body):
+    loads_or_names_the_file_once(tmp_path / "model.bin", prefix + body)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    keep=st.none() | st.integers(min_value=0),
+    # an index below 64 lands in the header; any other one almost always in the weights
+    flips=st.lists(st.tuples(st.integers(0, 63) | st.integers(min_value=0), st.integers(1, 255)),
+                   max_size=3),
+)
+def test_load_params_truncated_or_flipped_file(tmp_path, saved_model, keep, flips):
+    blob = bytearray(saved_model)
+    for index, mask in flips:
+        blob[index % len(blob)] ^= mask
+    if keep is not None:
+        blob = blob[: keep % len(blob)]
+    loaded = loads_or_names_the_file_once(tmp_path / "model.bin", bytes(blob))
+    if keep is not None:
+        assert not loaded  # no proper prefix is a model
+    if blob == saved_model:
+        assert loaded
 
 
 def test_loaded_params_are_trainable(tmp_path):
