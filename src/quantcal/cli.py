@@ -80,6 +80,13 @@ def _has_type(value, types):
     return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
+def _is_finite_float(value):
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past float's range
+        return False
+
+
 def _read_json_object(path):
     try:
         text = Path(path).read_text()
@@ -144,10 +151,10 @@ class ExperimentConfig:
                 _has_type(v, (int, float)) for v in items
             ):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-            # json reads NaN and Infinity; ints are always finite
-            floats = [v for v in [*items, value] if isinstance(v, float)]
-            if not all(math.isfinite(v) for v in floats):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            # json reads NaN, Infinity and ints too large for a float
+            numbers = [v for v in [*items, value] if isinstance(v, (int, float))]
+            if "float" in f.type and not all(_is_finite_float(v) for v in numbers):
+                raise ConfigError(f"{f.name} must be a finite float, got {value!r}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.calib_split not in CALIB_SPLITS:
@@ -334,8 +341,6 @@ def _run_experiment(cfg, lambdas):
 
 
 def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "models").mkdir(exist_ok=True)
     _write_csv(out_dir / "metrics.csv", METRICS_FIELDS, [r.values() for r in metric_rows])
     _write_csv(out_dir / "reliability.csv", RELIABILITY_FIELDS, reliability_rows)
     _write_summary(out_dir, summary)
@@ -354,6 +359,10 @@ def cmd_train(cfg, command="train"):
     plus the trade-off curve in curve.csv."""
     lambdas = cfg.resolved_lambdas(command)
     out_dir = Path(cfg.out)
+    # before any model trains, so an --out that cannot be made costs no run;
+    # a run that then fails leaves these directories empty
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "models").mkdir(exist_ok=True)
     metric_rows, reliability_rows, members_by_run = _run_experiment(cfg, lambdas)
     summary = _summarize(metric_rows)
     _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary)

@@ -12,12 +12,15 @@ Training minimizes mean NLL plus an optional uniformity penalty on the
 batch PIT values (see ckl.total_loss), optimized with Adam. On the tape the
 network is one fused op plus one node per head column (`mlp_forward`);
 inference (`predict`, `mc_dropout_predict`) runs the same expressions in
-numpy with no tape, computing the first layer once per call.
+numpy with no tape, in row blocks of at most 8192 rows (at least 4096 when
+there are several), so its memory is set by the block size, not by n. MC
+dropout computes a block's first layer once and replays each pass's mask
+draws for the block from the seed's stream with `PCG64.advance`, so every
+row gets the bits of an all-rows pass.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -31,8 +34,8 @@ from .ndgrad import Node
 from .softsort import SoftSortConfig
 
 HIDDEN_WIDTH = 128
-# the most rows in one block of MC-dropout inference: 4 MiB per (rows, 128) array
-_PREDICT_BLOCK_ROWS = 4096
+# the most rows in one block of inference: 8 MiB per (rows, 128) array
+_PREDICT_BLOCK_ROWS = 8192
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 _MAGIC = b"QCMP"
@@ -227,18 +230,44 @@ def _head(h2, params):
 
 def predict(params, x):
     """Deterministic single forward pass (no dropout), off the tape."""
-    h1 = _hidden(_check_input(x, params.w1.value), params.w1.value, params.b1.value)
-    return _head(_hidden(h1, params.w2.value, params.b2.value), params)
+    w2, b2 = params.w2.value, params.b2.value
+    (pred,) = _blockwise(params, x, 1, lambda h1, rows, p: _hidden(h1, w2, b2))
+    return pred
 
 
 def _row_blocks(n):
     """Slices that cut n rows into the fewest blocks of at most
-    `_PREDICT_BLOCK_ROWS`, as even as possible. No block is a single row
-    unless n is one: a one-row matmul rounds differently from its row in a
-    larger one."""
+    `_PREDICT_BLOCK_ROWS`, as even as possible, so every block of a
+    multi-block n has at least 4096 rows. A block's rows then round as they
+    do in the all-rows product: the (rows, 128) @ (128, 2) head takes
+    OpenBLAS's small-matrix path, which rounds differently, only while
+    rows * 128 * 2 <= 1e6, below 3907 rows."""
     k = max(1, -(-n // _PREDICT_BLOCK_ROWS))
     edges = [n * i // k for i in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _block_buffers(n, count):
+    """`count` scratch (rows, 128) arrays, rows the widest of `_row_blocks(n)`."""
+    return np.empty((count, max(rows.stop - rows.start for rows in _row_blocks(n)), HIDDEN_WIDTH))
+
+
+def _blockwise(params, x, passes, layer2):
+    """`passes` predictions over the rows of `x`, one row block at a time:
+    layer 1 runs once per block, then pass p takes the block's layer-2
+    activation from `layer2(h1, rows, p)` and runs the head on it. Only the
+    (passes, n) outputs span all rows."""
+    x = _check_input(x, params.w1.value)
+    (h1_rows,) = _block_buffers(len(x), 1)
+    mu = np.empty((passes, len(x)))
+    sigma = np.empty_like(mu)
+    for rows in _row_blocks(len(x)):
+        h1_out = h1_rows[: rows.stop - rows.start]
+        h1 = _hidden(x[rows], params.w1.value, params.b1.value, out=h1_out)
+        for p in range(passes):
+            pred = _head(layer2(h1, rows, p), params)
+            mu[p, rows], sigma[p, rows] = pred.mu, pred.sigma
+    return [GaussianPrediction(m, s) for m, s in zip(mu, sigma)]
 
 
 @dataclass
@@ -366,11 +395,12 @@ def train(dataset, cfg, adv_eps=None, loss_history=None):
 
 def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     """Aggregate `passes` stochastic forward passes into one Gaussian, off
-    the tape. Layer 1 is computed once, since dropout comes after it. Each
-    pass draws its two masks over all rows in the order training does, runs
-    layer 2 in row blocks (`_row_blocks`) into one (n, 128) buffer, and
-    applies the head to all rows at once: the (n, 128) @ (128, 2) product
-    rounds a row differently with the row count; the 128-wide layers do not."""
+    the tape, one row block at a time (`_blockwise`). The masks are those of
+    passes drawn in the order `_dropout_masks` draws them: pass by pass,
+    layer 1's keep decisions for all n rows, then layer 2's. `Generator.random`
+    takes one PCG64 output per double, so a block's mask for layer L of pass p
+    is drawn from the seed's state advanced by ((2p + L) n + first row) * 128
+    outputs, and each pass gives every row the bits of an all-rows pass."""
     if passes < 1:
         raise ValueError(f"mc_dropout_predict: passes must be positive, got {passes}")
     if not 0.0 < dropout_rate < 1.0:
@@ -378,25 +408,30 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
             f"mc_dropout_predict: dropout_rate must be in (0, 1), got {dropout_rate}"
         )
     x = _check_input(x, params.w1.value)
-    blocks = _row_blocks(len(x))
-    h1 = [_hidden(x[rows], params.w1.value, params.b1.value) for rows in blocks]
+    n = len(x)
     rng = np.random.default_rng(seed)
+    start = rng.bit_generator.state
     keep = 1.0 - dropout_rate
-    # a pass's keep decisions for both layers and all rows, drawn in the order
-    # `_dropout_masks` draws them, and a block's two keep-scaled masks
-    kept = np.empty((2, len(x), HIDDEN_WIDTH), dtype=bool)
-    masks = np.empty((2, max(rows.stop - rows.start for rows in blocks), HIDDEN_WIDTH))
-    h2 = np.empty((len(x), HIDDEN_WIDTH))
-    preds = []
-    for _ in range(passes):
-        for layer_kept, rows in itertools.product(kept, blocks):
-            np.less(rng.random(out=masks[0, : rows.stop - rows.start]), keep, out=layer_kept[rows])
-        for rows, a1 in zip(blocks, h1):
-            m1, m2 = (np.multiply(k[rows], 1.0 / keep, out=m[: rows.stop - rows.start])
-                      for k, m in zip(kept, masks))
-            _hidden(np.multiply(a1, m1, out=m1), params.w2.value, params.b2.value, m2, out=h2[rows])
-        preds.append(_head(h2, params))
-    return aggregate_mc(preds)
+    # a block's masked layer-1 input (then its layer-2 mask) and layer-2 output
+    masked, h2 = _block_buffers(n, 2)
+
+    def mask(p, layer, rows, out):
+        """The keep-scaled mask of `layer` in pass p for `rows`, into `out`:
+        1 / keep where the draw is below keep, else 0, as `_dropout_masks`."""
+        rng.bit_generator.state = start
+        rng.bit_generator.advance(((2 * p + layer) * n + rows.start) * HIDDEN_WIDTH)
+        np.less(rng.random(out=out), keep, out=out)
+        out *= 1.0 / keep
+        return out
+
+    def layer2(h1, rows, p):
+        a = mask(p, 0, rows, masked[: len(h1)])
+        a *= h1
+        out = _hidden(a, params.w2.value, params.b2.value, out=h2[: len(h1)])
+        out *= mask(p, 1, rows, a)
+        return out
+
+    return aggregate_mc(_blockwise(params, x, passes, layer2))
 
 
 def ensemble_train(dataset, cfg, ens_cfg=EnsembleConfig()):

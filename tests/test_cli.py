@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quantcal import cli
@@ -135,12 +136,14 @@ def assert_one_error_line(err, path):
     assert str(path) in err and "Traceback" not in err
 
 
-def test_out_that_is_a_file_exits_1_naming_it(tmp_path, capsys):
+def test_out_that_is_a_file_exits_1_naming_it(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model trained before --out was made")
+
+    monkeypatch.setattr(cli, "train", no_training)
     out = tmp_path / "taken"
     out.write_text("not a directory\n")
-    cfg = write_config(tmp_path, {"synth_n": 60, "epochs": 1, "n_splits": 2, "lambdas": [0.0],
-                                  "mc_passes": 2})
-    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert main(["train", "--config", write_config(tmp_path), "--out", str(out)]) == 1
     assert_one_error_line(capsys.readouterr().err, out)
     assert out.read_text() == "not a directory\n"
 
@@ -517,3 +520,50 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "quantcal" in proc.stdout
+
+
+class DataWouldLoad(Exception):
+    """Raised by the stubbed dataset loader: the config passed the gate."""
+
+
+# ints from 2**1024 up overflow a float
+INTS = st.integers() | st.integers(min_value=2**1020, max_value=2**1030)
+NUMBERS = INTS | st.floats()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+# values of each field's own type, often in range, so that examples get past the type checks
+TYPED_VALUES = {
+    "int": st.integers(1, 50) | INTS,
+    "float": st.floats(0.01, 0.99) | NUMBERS,
+    "bool": st.booleans(),
+    "str": st.sampled_from(cli.MODELS + cli.CALIB_SPLITS) | st.text(max_size=8),
+    "list[float] | None": st.none() | st.lists(NUMBERS, max_size=3),
+}
+FIELDS = dataclasses.fields(ExperimentConfig)
+RUN_CONFIGS = st.one_of(
+    st.fixed_dictionaries({}, optional={f.name: TYPED_VALUES[f.type] for f in FIELDS}),
+    st.dictionaries(st.sampled_from([f.name for f in FIELDS] + ["version"]) | st.text(max_size=8),
+                    JSON_VALUES, max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=RUN_CONFIGS)
+@example(raw={"lambdas": [2**1024]})
+def test_any_run_config_exits_2_or_reaches_the_data(tmp_path, capsys, monkeypatch, raw):
+    def no_data(cfg):
+        raise DataWouldLoad
+
+    monkeypatch.setattr(cli, "_load_base_dataset", no_data)
+    (tmp_path / "run_config.json").write_text(json.dumps(raw))
+    capsys.readouterr()
+    try:
+        rc = main(["recalibrate", "--out", str(tmp_path)])
+    except DataWouldLoad:
+        return
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

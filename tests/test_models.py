@@ -402,8 +402,7 @@ def test_mc_dropout_validation():
 
 
 def mc_dropout_peak(n):
-    """Traced peak bytes of a 10-pass `mc_dropout_predict` on n rows, in
-    units of one (n, 128) float64 array."""
+    """Traced peak bytes of a 10-pass `mc_dropout_predict` on n rows."""
     rng = np.random.default_rng(0)
     params = init_mlp(3, rng)
     x = rng.normal(size=(n, 3))
@@ -413,37 +412,70 @@ def mc_dropout_peak(n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / (n * HIDDEN_WIDTH * 8)
+    return peak
+
+
+def block_arrays(n, blocks, outputs):
+    """The bytes of `blocks` (rows, 128) float64 arrays, rows the widest row
+    block of n, plus `outputs` (10, n) float64 arrays: 10 passes' means."""
+    rows = min(n, models._PREDICT_BLOCK_ROWS)
+    return 8 * (blocks * rows * HIDDEN_WIDTH + outputs * 10 * n)
 
 
 def test_mc_dropout_predict_keeps_no_graph():
-    # the (n, 128) arrays are the shared first layer and the second layer's
-    # output; the keep decisions take a quarter of one, and with one block
-    # its two masks (the first one holds the masked input) are two more
-    assert mc_dropout_peak(2000) < 5
+    # one block: layer 1's output, the masked input and layer 2's output,
+    # then the (passes, n) means and sigmas and their aggregation
+    assert mc_dropout_peak(2000) < block_arrays(2000, 3.5, 6)
 
 
 def test_mc_dropout_predict_masks_stay_block_sized():
-    # eight blocks: the two masks are a quarter of an (n, 128) array
-    assert mc_dropout_peak(8 * models._PREDICT_BLOCK_ROWS) < 3.5
+    # the same bound at 2 and 8 blocks: nothing but the outputs spans n rows,
+    # so at 8 blocks the peak is below one (n, 128) array
+    for blocks in (2, 8):
+        n = blocks * models._PREDICT_BLOCK_ROWS
+        assert len(models._row_blocks(n)) == blocks
+        peak = mc_dropout_peak(n)
+        assert peak < block_arrays(n, 3.5, 6)
+    assert peak < n * HIDDEN_WIDTH * 8
+
+
+@pytest.mark.parametrize("n", [8193, 9146, 16385, 36584])
+def test_head_gives_each_row_block_the_all_rows_bits(n):
+    rng = np.random.default_rng(n)
+    params = random_params(rng, 3)
+    h2 = np.maximum(rng.normal(size=(n, HIDDEN_WIDTH)), 0.0)
+    full = models._head(h2, params)
+    for rows in models._row_blocks(n):
+        block = models._head(h2[rows], params)
+        assert block.mu.tobytes() == full.mu[rows].tobytes(), (
+            f"the head rounds rows {rows.start}:{rows.stop} of {n} differently from the "
+            "all-rows product; OpenBLAS takes its small-matrix gemm path when "
+            "M*N*K <= 1e6 (below 3907 rows here), so row blocks must stay above that"
+        )
+        assert block.sigma.tobytes() == full.sigma[rows].tobytes()
 
 
 def test_mc_dropout_predict_in_row_blocks_equals_tape_chain_bitwise():
-    # 2 * block + 1 rows make three blocks of 2731; the chain takes all at once
-    n, rate, passes = 2 * models._PREDICT_BLOCK_ROWS + 1, 0.25, 2
-    assert len(models._row_blocks(n)) == 3
-    rng = np.random.default_rng(21)
-    params = random_params(rng, 3)
-    x = rng.normal(size=(n, 3))
-    frozen = MlpParams(*map(nd.constant, params.arrays()))
-    mask_rng = np.random.default_rng(5)
-    preds = []
-    for _ in range(passes):
-        mu, sigma = chain_mlp_forward(frozen, x, zero_one_masks(mask_rng, n, rate), rate)
-        preds.append(GaussianPrediction(mu.value, sigma.value))
-    want = aggregate_mc(preds)
-    got = mc_dropout_predict(params, x, passes=passes, dropout_rate=rate, seed=5)
-    assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
+    # 2 * block + 1 rows make three blocks of 5461 or 5462; block + 954 rows,
+    # not a multiple of the block size, make two of 4573; the chain takes
+    # all rows at once
+    for n, d, passes, rate in [(2 * models._PREDICT_BLOCK_ROWS + 1, 3, 2, 0.25),
+                               (models._PREDICT_BLOCK_ROWS + 954, 2, 3, 0.4)]:
+        rng = np.random.default_rng(n)
+        params = random_params(rng, d)
+        x = rng.normal(size=(n, d))
+        frozen = MlpParams(*map(nd.constant, params.arrays()))
+        mu, sigma = chain_mlp_forward(frozen, x)
+        got = predict(params, x)
+        assert_same_bytes([got.mu, got.sigma], [mu.value, sigma.value])
+        mask_rng = np.random.default_rng(5)
+        preds = []
+        for _ in range(passes):
+            mu, sigma = chain_mlp_forward(frozen, x, zero_one_masks(mask_rng, n, rate), rate)
+            preds.append(GaussianPrediction(mu.value, sigma.value))
+        want = aggregate_mc(preds)
+        got = mc_dropout_predict(params, x, passes=passes, dropout_rate=rate, seed=5)
+        assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
 
 
 def test_row_blocks_are_even_and_never_one_row():
@@ -454,6 +486,8 @@ def test_row_blocks_are_even_and_never_one_row():
         assert max(sizes) - min(sizes) <= 1
         assert len(sizes) == max(1, -(-n // block))
         assert n < 2 or min(sizes) >= 2
+        # a multi-block n keeps every block off the head's small-matrix path
+        assert len(sizes) == 1 or min(sizes) >= block // 2
 
 
 def test_fgsm_moves_inputs_by_eps_signs():
