@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datasets import (Dataset, SplitSpec, load_csv, load_from_descriptor, make_splits, read_csv_rows,
-                       standardize, synth_hetero)
+from .datasets import (Dataset, SplitSpec, descriptor_names, find_descriptor, load_csv,
+                       load_from_descriptor, make_splits, read_csv_rows, standardize, synth_hetero)
 from .gaussian import pit
 from .metrics import MetricConfig, MetricsReport, calibration_error
 from .models import (
@@ -155,6 +155,12 @@ class ExperimentConfig:
             numbers = [v for v in [*items, value] if isinstance(v, (int, float))]
             if "float" in f.type and not all(_is_finite_float(v) for v in numbers):
                 raise ConfigError(f"{f.name} must be a finite float, got {value!r}")
+        if (self.dataset != "synth_hetero" and not self.dataset.endswith(".csv")
+                and find_descriptor(self.dataset) is None):
+            raise ConfigError(
+                f"dataset must be synth_hetero, a CSV path, a descriptor JSON path or one of "
+                f"{descriptor_names()}, got {self.dataset!r}"
+            )
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.calib_split not in CALIB_SPLITS:

@@ -275,25 +275,76 @@ def descriptor_names():
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def load_descriptor(name):
-    """Shipped descriptor by name, or any descriptor JSON by path."""
+def find_descriptor(name):
+    """The descriptor file `name` refers to, a path to a JSON file or a
+    shipped name, or None if it refers to neither."""
     path = Path(name)
     if path.suffix == ".json" and path.exists():
-        text = path.read_text()
-    else:
-        root = resources.files("quantcal.descriptors")
-        candidate = root / f"{name}.json"
-        if not candidate.is_file():
-            raise KeyError(
-                f"load_descriptor: unknown dataset {name!r}; shipped: "
-                f"{descriptor_names()}"
-            )
-        text = candidate.read_text()
-    return json.loads(text)
+        return path
+    shipped = resources.files("quantcal.descriptors") / f"{name}.json"
+    return shipped if shipped.is_file() else None
+
+
+# descriptor field -> accepted types; the first three are required
+_DESCRIPTOR_FIELDS = {
+    "name": (str,),
+    "filename": (str,),
+    "source": (str,),
+    "target_column": (int, str),
+    "delimiter": (str,),
+    "has_header": (bool,),
+    "expected_rows": (int, type(None)),
+    "expected_features": (int, type(None)),
+}
+
+
+def _check_descriptor(descriptor, source):
+    """`descriptor`, if it is an object with the three required fields and
+    every known field of its type; otherwise a ValueError naming `source`.
+    Other keys are ignored."""
+    if not isinstance(descriptor, dict):
+        raise ValueError(
+            f"{source}: a dataset descriptor must be a JSON object, got {type(descriptor).__name__}"
+        )
+    for key in list(_DESCRIPTOR_FIELDS)[:3]:
+        if key not in descriptor:
+            raise ValueError(f"{source}: descriptor has no {key!r} field")
+    for key, types in _DESCRIPTOR_FIELDS.items():
+        value = descriptor.get(key)
+        # bool subclasses int, so it passes only where it is named
+        if key in descriptor and (not isinstance(value, types)
+                                  or isinstance(value, bool) and bool not in types):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ValueError(f"{source}: descriptor field {key!r} must be {names}, got {value!r}")
+    delimiter = descriptor.get("delimiter", ",")
+    if len(delimiter) != 1 or delimiter in '"\r\n':  # csv and numpy cannot split on these
+        raise ValueError(
+            f"{source}: descriptor field 'delimiter' must be one character other than "
+            f"a quote or a newline, got {delimiter!r}"
+        )
+    return descriptor
+
+
+def load_descriptor(name):
+    """Shipped descriptor by name, or any descriptor JSON by path. A name
+    that refers to neither raises KeyError; a file that is not a descriptor
+    (not JSON, not an object, a required field missing or a field of the
+    wrong type) raises a ValueError naming it."""
+    path = find_descriptor(name)
+    if path is None:
+        raise KeyError(
+            f"load_descriptor: unknown dataset {name!r}; shipped: {descriptor_names()}"
+        )
+    try:
+        descriptor = json.loads(path.read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"load_descriptor: {path}: {exc}") from None
+    return _check_descriptor(descriptor, f"load_descriptor: {path}")
 
 
 def load_from_descriptor(descriptor, data_dir="data"):
-    """Load the CSV a descriptor points at and validate its shape.
+    """Load the CSV a descriptor (a name or path for `load_descriptor`, or
+    the object itself) points at and validate its shape.
 
     Row-count mismatches raise; feature-count mismatches only warn (counts
     in the literature are off-by-one depending on whether they include the
@@ -301,10 +352,12 @@ def load_from_descriptor(descriptor, data_dir="data"):
     """
     if isinstance(descriptor, str):
         descriptor = load_descriptor(descriptor)
+    else:
+        _check_descriptor(descriptor, "load_from_descriptor: descriptor")
     path = Path(data_dir) / descriptor["filename"]
     if not path.exists():
         raise FileNotFoundError(
-            f"dataset file {path} not found; fetch it from {descriptor['source']} "
+            f"dataset file {str(path)!r} not found; fetch it from {descriptor['source']!r} "
             f"and place it there"
         )
     ds = load_csv(
@@ -316,12 +369,12 @@ def load_from_descriptor(descriptor, data_dir="data"):
     expected_rows = descriptor.get("expected_rows")
     if expected_rows is not None and len(ds) != expected_rows:
         raise ValueError(
-            f"{descriptor['name']}: expected {expected_rows} rows, file has {len(ds)}"
+            f"{descriptor['name']!r}: expected {expected_rows} rows, {str(path)!r} has {len(ds)}"
         )
     expected_features = descriptor.get("expected_features")
     if expected_features is not None and ds.n_features != expected_features:
         warnings.warn(
-            f"{descriptor['name']}: descriptor lists {expected_features} features, "
+            f"{descriptor['name']!r}: descriptor lists {expected_features} features, "
             f"file has {ds.n_features}"
         )
     return ds

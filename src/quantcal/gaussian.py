@@ -87,27 +87,44 @@ def gaussian_nll(mu, sigma, y):
     return nd._result("gaussian_nll", value, (mu, sigma), backward)
 
 
-def _mixture_moments(preds):
-    """Mean and sigma of the equally weighted Gaussian mixture.
+def _mixture_moments(mus, sigmas):
+    """Mean and sigma of the equally weighted Gaussian mixture whose k
+    components are the rows of the (k, n) arrays `mus` and `sigmas`, which
+    are checked and floored once here, as `GaussianPrediction` does.
 
     The variance mean(sigma_i^2) + mean((mu_i - mu_bar)^2) equals the raw
     second-moment form mean(sigma_i^2 + mu_i^2) - mu_bar^2 but does not
-    cancel catastrophically for large |mu|.
+    cancel catastrophically for large |mu|. Both terms go through one
+    (k, n) scratch array, so aggregation holds one copy beside its inputs.
     """
-    if not preds:
+    mus = np.asarray(mus, dtype=np.float64)
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    if mus.ndim != 2 or mus.shape != sigmas.shape:
+        raise ValueError(
+            f"aggregate: expected (k, n) means and sigmas, got {mus.shape} and {sigmas.shape}"
+        )
+    if len(mus) == 0:
         raise ValueError("aggregate: empty prediction list")
-    mus = np.stack([p.mu for p in preds])
-    sigmas = np.stack([p.sigma for p in preds])
+    if not (np.all(np.isfinite(mus)) and np.all(np.isfinite(sigmas))):
+        raise ValueError("aggregate: non-finite parameters")
     mu_bar = mus.mean(axis=0)
-    var = (sigmas**2).mean(axis=0) + ((mus - mu_bar) ** 2).mean(axis=0)
-    return GaussianPrediction(mu_bar, np.sqrt(var))
+    scratch = np.maximum(sigmas, SIGMA_FLOOR)
+    scratch *= scratch
+    var = scratch.mean(axis=0)
+    np.subtract(mus, mu_bar, out=scratch)
+    scratch *= scratch
+    var += scratch.mean(axis=0)
+    return GaussianPrediction(mu_bar, np.sqrt(var, out=var))
 
 
-def aggregate_mc(preds):
-    """Combine Monte-Carlo dropout passes into a single Gaussian."""
-    return _mixture_moments(preds)
+def aggregate_mc(mus, sigmas):
+    """Combine Monte-Carlo dropout passes, the rows of (passes, n) arrays of
+    means and sigmas, into a single Gaussian."""
+    return _mixture_moments(mus, sigmas)
 
 
 def aggregate_ensemble(preds):
     """Combine ensemble member predictions into a single Gaussian."""
-    return _mixture_moments(preds)
+    if not preds:
+        raise ValueError("aggregate: empty prediction list")
+    return _mixture_moments(np.stack([p.mu for p in preds]), np.stack([p.sigma for p in preds]))

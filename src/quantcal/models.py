@@ -6,7 +6,7 @@ ReLU activations, sigma = softplus(raw) + 1e-6. On top of it:
 * Monte-Carlo dropout: train with dropout after each hidden layer, predict
   by aggregating several stochastic forward passes.
 * Deep ensembles: several members from different seeds, each trained on its
-  batch plus a fast-gradient-sign perturbed copy, no dropout.
+  batch plus an FGSM copy along the batch's own input gradient, no dropout.
 
 Training minimizes mean NLL plus an optional uniformity penalty on the
 batch PIT values (see ckl.total_loss), optimized with Adam. On the tape the
@@ -16,7 +16,8 @@ numpy with no tape, in row blocks of at most 8192 rows (at least 4096 when
 there are several), so its memory is set by the block size, not by n. MC
 dropout computes a block's first layer once and replays each pass's mask
 draws for the block from the seed's stream with `PCG64.advance`, so every
-row gets the bits of an all-rows pass.
+row gets the bits of an all-rows pass, and `aggregate_mc` takes the passes'
+(passes, n) outputs as they are.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ndgrad as nd
-from .ckl import total_loss
+from .ckl import quantile_reg_loss
 from .gaussian import GaussianPrediction, aggregate_ensemble, aggregate_mc, gaussian_nll
 from .ndgrad import Node
 from .softsort import SoftSortConfig
@@ -225,14 +226,14 @@ def mlp_forward(params, x, dropout_masks=None):
 def _head(h2, params):
     """The (mu, sigma) head on a layer-2 activation, off the tape."""
     out = _affine(h2, params.w3.value, params.b3.value)
-    return GaussianPrediction(out[:, 0], np.logaddexp(0.0, out[:, 1]) + 1e-6)
+    return out[:, 0], np.logaddexp(0.0, out[:, 1]) + 1e-6
 
 
 def predict(params, x):
     """Deterministic single forward pass (no dropout), off the tape."""
     w2, b2 = params.w2.value, params.b2.value
-    (pred,) = _blockwise(params, x, 1, lambda h1, rows, p: _hidden(h1, w2, b2))
-    return pred
+    (mu,), (sigma,) = _blockwise(params, x, 1, lambda h1, rows, p: _hidden(h1, w2, b2))
+    return GaussianPrediction(mu, sigma)
 
 
 def _row_blocks(n):
@@ -253,10 +254,10 @@ def _block_buffers(n, count):
 
 
 def _blockwise(params, x, passes, layer2):
-    """`passes` predictions over the rows of `x`, one row block at a time:
-    layer 1 runs once per block, then pass p takes the block's layer-2
-    activation from `layer2(h1, rows, p)` and runs the head on it. Only the
-    (passes, n) outputs span all rows."""
+    """The (passes, n) means and sigmas of `passes` predictions over the rows
+    of `x`, one row block at a time: layer 1 runs once per block, then pass p
+    takes the block's layer-2 activation from `layer2(h1, rows, p)` and runs
+    the head on it. Only the outputs span all rows."""
     x = _check_input(x, params.w1.value)
     (h1_rows,) = _block_buffers(len(x), 1)
     mu = np.empty((passes, len(x)))
@@ -265,9 +266,8 @@ def _blockwise(params, x, passes, layer2):
         h1_out = h1_rows[: rows.stop - rows.start]
         h1 = _hidden(x[rows], params.w1.value, params.b1.value, out=h1_out)
         for p in range(passes):
-            pred = _head(layer2(h1, rows, p), params)
-            mu[p, rows], sigma[p, rows] = pred.mu, pred.sigma
-    return [GaussianPrediction(m, s) for m, s in zip(mu, sigma)]
+            mu[p, rows], sigma[p, rows] = _head(layer2(h1, rows, p), params)
+    return mu, sigma
 
 
 @dataclass
@@ -325,29 +325,32 @@ def _dropout_masks(rng, n, dropout_rate):
     )
 
 
-def fgsm_perturb(params, x, y, eps):
-    """Fast-gradient-sign copy of a batch: x + eps * sign(d NLL / d x).
-
-    `eps` broadcasts against columns, so a per-feature vector keeps the step
-    proportional to each feature's scale. eps = 0 returns x unchanged.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    leaf = Node(x, requires_grad=True)
-    # constant weights: the backward forms the input gradient alone
-    frozen = MlpParams(*map(nd.constant, params.arrays()))
-    mu, sigma = mlp_forward(frozen, leaf)
-    (gx,) = nd.gradients(gaussian_nll(mu, sigma, y), [leaf])
-    return x + np.asarray(eps, dtype=np.float64) * np.sign(gx)
+def fgsm_perturb(x, grad, eps):
+    """FGSM copy of a batch: x + eps * sign(grad), `grad` a positive multiple
+    of d NLL / d x; `eps` may be per feature (it broadcasts on columns)."""
+    return np.asarray(x, dtype=np.float64) + np.asarray(eps, dtype=np.float64) * np.sign(grad)
 
 
-def _batch_loss(params, xb, yb, masks, cfg, sort_cfg, adv_eps):
-    mu, sigma = mlp_forward(params, xb, masks)
-    loss = total_loss(yb, mu, sigma, cfg.lam, sort_cfg)
+def _batch_grads(params, xb, yb, masks, cfg, sort_cfg, adv_eps):
+    """Loss value and parameter gradients; with `adv_eps`, of the mean loss
+    of the batch and its FGSM copy, one graph each. The copy steps along the
+    batch's own input gradient: 0.5 d NLL / d x at lam = 0, else the NLL's."""
+    def losses(x):  # the NLL, and the NLL plus lam times the penalty as in ckl.total_loss
+        mu, sigma = mlp_forward(params, x, masks)
+        nll = gaussian_nll(mu, sigma, yb)
+        return nll, (nll + cfg.lam * quantile_reg_loss(yb, mu, sigma, sort_cfg) if cfg.lam else nll)
+
     if adv_eps is None:
-        return loss
-    x_adv = fgsm_perturb(params, xb, yb, adv_eps)
-    mu_a, sigma_a = mlp_forward(params, x_adv, masks)
-    return (loss + total_loss(yb, mu_a, sigma_a, cfg.lam, sort_cfg)) * 0.5
+        loss = losses(xb)[1]
+        return loss.value, nd.gradients(loss, params.nodes())
+    leaf = Node(xb, requires_grad=True)
+    nll, loss = losses(leaf)
+    *grads, gx = nd.gradients(loss * 0.5, [*params.nodes(), leaf])
+    if cfg.lam:
+        (gx,) = nd.gradients(nll, [leaf])
+    loss_a = losses(fgsm_perturb(xb, gx, adv_eps))[1]
+    grads_a = nd.gradients(loss_a * 0.5, params.nodes())
+    return (loss.value + loss_a.value) * 0.5, [a + b for a, b in zip(grads, grads_a)]
 
 
 def train(dataset, cfg, adv_eps=None, loss_history=None):
@@ -355,7 +358,7 @@ def train(dataset, cfg, adv_eps=None, loss_history=None):
     shuffled minibatches. Identical seeds give identical parameters.
 
     adv_eps: optional per-feature FGSM step; when set, each batch loss is
-    averaged with the loss on its perturbed copy.
+    averaged with the loss on its copy stepped by sign(d NLL / d x).
     loss_history: optional list; receives the mean training loss per epoch.
     Raises RuntimeError (with epoch/batch position) if the loss diverges.
     """
@@ -380,14 +383,13 @@ def train(dataset, cfg, adv_eps=None, loss_history=None):
             xb, yb = x[idx], y[idx]
             masks = _dropout_masks(rng, len(idx), cfg.dropout_rate) if use_dropout else None
             try:
-                loss = _batch_loss(params, xb, yb, masks, cfg, sort_cfg, adv_eps)
-                grads = nd.gradients(loss, params.nodes())
+                loss, grads = _batch_grads(params, xb, yb, masks, cfg, sort_cfg, adv_eps)
                 adam_step(params, grads, state, cfg.learning_rate)
             except ValueError as exc:
                 raise RuntimeError(
                     f"train: diverged at epoch {epoch}, batch {bi}: {exc}"
                 ) from exc
-            total += float(loss.value) * len(idx)
+            total += float(loss) * len(idx)
         if loss_history is not None:
             loss_history.append(total / x.shape[0])
     return params
@@ -431,13 +433,13 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
         out *= mask(p, 1, rows, a)
         return out
 
-    return aggregate_mc(_blockwise(params, x, passes, layer2))
+    return aggregate_mc(*_blockwise(params, x, passes, layer2))
 
 
 def ensemble_train(dataset, cfg, ens_cfg=EnsembleConfig()):
     """Train `ens_cfg.size` members; member m sees the same data with seed
-    `cfg.seed + m`, trains without dropout, and adds an FGSM-perturbed loss
-    term."""
+    `cfg.seed + m`, trains without dropout, and adds the loss on each batch's
+    FGSM copy, stepped by `adv_eps_scale` times each feature's range."""
     x = np.asarray(dataset.features, dtype=np.float64)
     adv_eps = None
     if ens_cfg.adv_eps_scale > 0.0:

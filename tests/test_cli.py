@@ -91,6 +91,8 @@ def test_config_validation_errors():
         {"learning_rate": float("nan")},
         {"adv_eps_scale": float("inf"), "model": "ensemble"},
         {"tau": float("inf")},
+        {"dataset": "nope"},
+        {"dataset": "gone.json"},
     ],
     ids=json.dumps,
 )
@@ -567,3 +569,57 @@ def test_any_run_config_exits_2_or_reaches_the_data(tmp_path, capsys, monkeypatc
         return
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# values of each field's own type, often in range, so that examples reach the CSV reader
+DESCRIPTOR_VALUES = {
+    "name": st.text(max_size=6),
+    "filename": st.sampled_from(["tiny.csv", "gone.csv", "", "."]),
+    "source": st.text(max_size=6),
+    "target_column": st.integers(-3, 3) | st.sampled_from(["1", "x"]),
+    "delimiter": st.sampled_from([",", ";", "", ",,", '"', "\n", "\r", "\x00"]),
+    "has_header": st.booleans(),
+    "expected_rows": st.none() | st.integers(0, 4),
+    "expected_features": st.none() | st.integers(0, 4),
+}
+REQUIRED = ("name", "filename", "source")
+DESCRIPTORS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries({k: DESCRIPTOR_VALUES[k] for k in REQUIRED},
+                          optional={k: v for k, v in DESCRIPTOR_VALUES.items() if k not in REQUIRED}),
+    st.fixed_dictionaries({}, optional={k: v | JSON_VALUES for k, v in DESCRIPTOR_VALUES.items()}),
+)
+
+
+class DescriptorLoaded(Exception):
+    """Raised by the stubbed split loop: the descriptor's CSV loaded."""
+
+
+@pytest.mark.filterwarnings("ignore:.*descriptor lists")
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=DESCRIPTORS)
+@example(raw=[1, 2])
+@example(raw={"name": "x", "source": "y"})
+@example(raw={"name": "x", "filename": "gone.csv", "source": "a\nb"})
+@example(raw={"name": "a\nb", "filename": "tiny.csv", "source": "y", "expected_rows": 2})
+def test_any_descriptor_exits_1_or_2_or_loads(tmp_path, capsys, monkeypatch, raw):
+    def loaded(cfg, ds):
+        raise DescriptorLoaded
+
+    monkeypatch.setattr(cli, "_split_runs", loaded)
+    data = tmp_path / "data"
+    data.mkdir(exist_ok=True)
+    (data / "tiny.csv").write_text("1,2\n3,4\n5,6\n")
+    desc = tmp_path / "desc.json"
+    desc.write_text(json.dumps(raw))
+    config = write_config(tmp_path, {"data_dir": str(data)})
+    capsys.readouterr()
+    try:
+        rc = main(["train", "--config", config, "--dataset", str(desc), "--out", str(tmp_path / "out")])
+    except DescriptorLoaded:
+        return
+    err = capsys.readouterr().err
+    assert rc in (1, 2) and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # a descriptor the loader rejects is named; a CSV fault names the CSV
+    assert str(desc) in err or str(data) in err

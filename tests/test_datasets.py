@@ -364,6 +364,35 @@ def test_load_descriptor_from_path(tmp_path):
     assert desc["name"] == "c"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "must be a JSON object, got list"),
+        ('{"name": "c", "source": "x"}', "no 'filename' field"),
+        ('{"name": "c", "filename": "c.csv"}', "no 'source' field"),
+        ('{"name": "c", "filename": 3, "source": "x"}', "'filename' must be str, got 3"),
+        ('{"name": "c", "filename": "c.csv", "source": "x", "has_header": 1}', "'has_header' must be bool"),
+        ('{"name": "c", "filename": "c.csv", "source": "x", "expected_rows": true}',
+         "'expected_rows' must be int or null"),
+        ('{"name": "c", "filename": "c.csv", "source": "x", "target_column": 1.5}',
+         "'target_column' must be int or str"),
+        ('{"name": "c", "filename": "c.csv", "source": "x", "delimiter": ",,"}', "one character"),
+        ('{"name": "c", "filename": "c.csv", "source": "x", "delimiter": "\\""}', "one character"),
+        ('{"name": "c"', "Expecting"),
+    ],
+)
+def test_malformed_descriptor_names_its_file(tmp_path, text, message):
+    desc_path = tmp_path / "custom.json"
+    desc_path.write_text(text)
+    for load in (load_descriptor, load_from_descriptor):
+        with pytest.raises(ValueError, match=message) as info:
+            load(str(desc_path))
+        assert str(desc_path) in str(info.value)
+    if message != "Expecting":  # the same object, given to the loader directly
+        with pytest.raises(ValueError, match=message):
+            load_from_descriptor(json.loads(text), data_dir=tmp_path)
+
+
 def test_descriptor_rows_match_known_catalog():
     catalog = {
         "airfoil": 1503,

@@ -100,12 +100,25 @@ def test_nll_shape_mismatch():
         gaussian_nll(nd.constant(np.zeros(2)), nd.constant(np.ones(3)), np.zeros(2))
 
 
+def stacked(preds):
+    """The (k, n) means and sigmas of a list of predictions."""
+    return np.stack([p.mu for p in preds]), np.stack([p.sigma for p in preds])
+
+
 def brute_force_mixture(preds):
-    mus = np.stack([p.mu for p in preds])
-    sigmas = np.stack([p.sigma for p in preds])
+    mus, sigmas = stacked(preds)
     mu_bar = mus.mean(axis=0)
     second = (sigmas**2 + mus**2).mean(axis=0)
     return mu_bar, np.sqrt(second - mu_bar**2)
+
+
+def stacked_moments(preds):
+    """The deviation form on freshly stacked, floored predictions, in the
+    order of its expressions; aggregation must keep its bits."""
+    mus, sigmas = stacked(preds)
+    mu_bar = mus.mean(axis=0)
+    var = (sigmas**2).mean(axis=0) + ((mus - mu_bar) ** 2).mean(axis=0)
+    return mu_bar, np.maximum(np.sqrt(var), SIGMA_FLOOR)
 
 
 def test_aggregate_matches_second_moment_form():
@@ -114,7 +127,7 @@ def test_aggregate_matches_second_moment_form():
         GaussianPrediction(rng.normal(size=6), rng.uniform(0.5, 2.0, size=6))
         for _ in range(5)
     ]
-    got = aggregate_mc(preds)
+    got = aggregate_mc(*stacked(preds))
     mu_bar, sigma_bar = brute_force_mixture(preds)
     assert np.allclose(got.mu, mu_bar, atol=1e-12)
     assert np.allclose(got.sigma, sigma_bar, atol=1e-12)
@@ -129,7 +142,24 @@ def test_aggregate_single_member_is_identity():
 
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError, match="empty"):
-        aggregate_mc([])
+        aggregate_mc(np.empty((0, 3)), np.empty((0, 3)))
+    with pytest.raises(ValueError, match="empty"):
+        aggregate_ensemble([])
+
+
+def test_aggregate_checks_and_floors_its_arrays():
+    with pytest.raises(ValueError, match=r"\(k, n\)"):
+        aggregate_mc(np.zeros((2, 3)), np.ones((2, 4)))
+    with pytest.raises(ValueError, match=r"\(k, n\)"):
+        aggregate_mc(np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        aggregate_mc(np.array([[0.0, np.nan]]), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        aggregate_mc(np.zeros((1, 2)), np.array([[1.0, np.inf]]))
+    sigmas = np.array([[0.0, 2.0], [-1.0, 2.0]])
+    out = aggregate_mc(np.zeros((2, 2)), sigmas)
+    assert np.array_equal(out.sigma, [SIGMA_FLOOR, 2.0])
+    assert np.array_equal(sigmas, [[0.0, 2.0], [-1.0, 2.0]])  # inputs untouched
 
 
 def test_aggregate_disagreement_widens_sigma():
@@ -151,7 +181,11 @@ def test_aggregate_equals_brute_force_property(seed, members):
         GaussianPrediction(rng.normal(size=4) * 5.0, rng.uniform(0.1, 3.0, size=4))
         for _ in range(members)
     ]
-    got = aggregate_mc(preds)
+    got = aggregate_mc(*stacked(preds))
     mu_bar, sigma_bar = brute_force_mixture(preds)
     assert np.allclose(got.mu, mu_bar, atol=1e-10)
     assert np.allclose(got.sigma, sigma_bar, atol=1e-10)
+    mu_bar, sigma_bar = stacked_moments(preds)
+    for out in (got, aggregate_ensemble(preds)):
+        assert out.mu.tobytes() == mu_bar.tobytes()
+        assert out.sigma.tobytes() == sigma_bar.tobytes()

@@ -15,15 +15,15 @@ from quantcal import cli, models
 from quantcal import ndgrad as nd
 from quantcal.ckl import total_loss
 from quantcal.datasets import Dataset, synth_hetero
-from quantcal.gaussian import GaussianPrediction, aggregate_mc, gaussian_nll
+from quantcal.gaussian import GaussianPrediction, aggregate_ensemble, gaussian_nll
 from quantcal.models import (
     HIDDEN_WIDTH,
     AdamState,
     EnsembleConfig,
     MlpParams,
     TrainConfig,
+    _batch_grads,
     _batch_indices,
-    _batch_loss,
     _dropout_masks,
     adam_step,
     ensemble_predict,
@@ -137,17 +137,21 @@ def zero_one_masks(rng, n, rate):
     return tuple((rng.random((n, HIDDEN_WIDTH)) < keep).astype(np.float64) for _ in range(2))
 
 
-def chain_fgsm(params, x, y, eps):
+def chain_fgsm(params, x, y, eps, masks=None, rate=0.0):
+    """x + eps * sign(d NLL / d x) on its own graph, through the network
+    with the batch's dropout masks."""
     leaf = nd.Node(x.copy(), requires_grad=True)
-    mu, sigma = chain_mlp_forward(params, leaf)
+    mu, sigma = chain_mlp_forward(params, leaf, masks, rate)
     (gx,) = nd.gradients(gaussian_nll(mu, sigma, y), [leaf])
     return x + eps * np.sign(gx)
 
 
 def chain_batch_loss(params, x, y, masks, rate, lam, eps):
+    """The ensembles' loss as one joint graph: the mean of the batch's loss
+    and its FGSM copy's."""
     mu, sigma = chain_mlp_forward(params, x, masks, rate)
     loss = total_loss(y, mu, sigma, lam)
-    x_adv = chain_fgsm(params, x, y, eps)
+    x_adv = chain_fgsm(params, x, y, eps, masks, rate)
     mu_a, sigma_a = chain_mlp_forward(params, x_adv, masks, rate)
     return (loss + total_loss(y, mu_a, sigma_a, lam)) * 0.5
 
@@ -191,18 +195,75 @@ def test_mlp_op_equals_tape_chain_bitwise(seed, n, d, rate, trainable):
             wrt = [leaf for leaf in leaves if leaf.requires_grad]
             results.append([mu.value, sigma.value, loss.value, *nd.gradients(loss, wrt)])
         assert_same_bytes(*results)
-        # the ensembles' two-graph loss: clean batch plus its FGSM copy
+        # the ensembles' loss, clean batch plus its FGSM copy: two graphs
+        # against the chain's one, and the plain loss without the copy
         cfg = TrainConfig(lam=lam, dropout_rate=rate or 0.0)
-        results = []
-        for fused in (True, False):
+        for adv_eps in (eps, None):
             blocks = MlpParams(*map(nd.param, params.arrays()))
-            if fused:
-                loss = _batch_loss(blocks, x, y, masks, cfg, SoftSortConfig(), eps)
+            value, grads = _batch_grads(blocks, x, y, masks, cfg, SoftSortConfig(), adv_eps)
+            if adv_eps is None:
+                mu, sigma = chain_mlp_forward(blocks, x, chain_masks, rate or 0.0)
+                loss = total_loss(y, mu, sigma, lam)
             else:
                 loss = chain_batch_loss(blocks, x, y, chain_masks, rate or 0.0, lam, eps)
-            results.append([loss.value, *nd.gradients(loss, blocks.nodes())])
-        assert_same_bytes(*results)
-    assert_same_bytes([fgsm_perturb(params, x, y, eps)], [chain_fgsm(params, x, y, eps)])
+            assert_same_bytes([value, *grads], [loss.value, *nd.gradients(loss, blocks.nodes())])
+
+
+def count_calls(monkeypatch, owner, names):
+    """Replace each named function of `owner` by a wrapper that counts its
+    calls and keeps the arguments of the latest one."""
+    calls = {name: 0 for name in names}
+    latest = {}
+
+    def wrap(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            latest[name] = args
+            return fn(*args)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(owner, name, wrap(name, getattr(owner, name)))
+    return calls, latest
+
+
+def fgsm_eps(ds):
+    return 0.01 * (ds.features.max(axis=0) - ds.features.min(axis=0))
+
+
+@pytest.mark.parametrize("lam", [0.0, 20.0])
+def test_train_fgsm_steps_equal_tape_chain_bitwise(monkeypatch, lam):
+    # at lam 0 the step's gradient is half the chain's; its signs must not move
+    calls, latest = count_calls(monkeypatch, models, ["mlp_forward", "gaussian_nll"])
+    steps = []
+
+    def spy(x, grad, eps):
+        # the latest forward and NLL are the clean batch's; Adam has not stepped yet
+        params, y = latest["mlp_forward"][0], latest["gaussian_nll"][2]
+        x_adv = fgsm_perturb(x, grad, eps)
+        steps.append((x_adv, chain_fgsm(params, x, y, eps)))
+        return x_adv
+
+    monkeypatch.setattr(models, "fgsm_perturb", spy)
+    ds = small_dataset(n=96, d=2, seed=int(lam))
+    cfg = TrainConfig(lam=lam, epochs=3, batch_size=32, dropout_rate=0.0, seed=4)
+    train(ds, cfg, adv_eps=fgsm_eps(ds))
+    assert len(steps) == 3 * 3 and calls["mlp_forward"] == 2 * len(steps)
+    for got, want in steps:
+        assert_same_bytes([got], [want])
+
+
+@pytest.mark.parametrize("lam, backwards", [(0.0, 2), (20.0, 3)])
+def test_fgsm_step_runs_the_network_twice(monkeypatch, lam, backwards):
+    calls, _ = count_calls(monkeypatch, models, ["mlp_forward", "fgsm_perturb"])
+    grad_calls, _ = count_calls(monkeypatch, nd, ["gradients"])
+    ds = small_dataset(n=32)
+    cfg = TrainConfig(lam=lam, epochs=1, batch_size=32, dropout_rate=0.0, seed=5)
+    train(ds, cfg, adv_eps=fgsm_eps(ds))
+    assert calls == {"mlp_forward": 2, "fgsm_perturb": 1}
+    # one backward per half, plus the NLL's own input gradient under a penalty
+    assert grad_calls["gradients"] == backwards
 
 
 def test_mlp_forward_builds_three_nodes():
@@ -242,7 +303,7 @@ def test_inference_equals_tape_chain_bitwise(seed, n, d, passes, rate):
     for _ in range(passes):
         mu, sigma = chain_mlp_forward(frozen, x, zero_one_masks(mask_rng, n, rate), rate)
         preds.append(GaussianPrediction(mu.value, sigma.value))
-    want = aggregate_mc(preds)
+    want = aggregate_ensemble(preds)
     got = mc_dropout_predict(params, x, passes=passes, dropout_rate=rate, seed=seed)
     assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
 
@@ -424,8 +485,9 @@ def block_arrays(n, blocks, outputs):
 
 def test_mc_dropout_predict_keeps_no_graph():
     # one block: layer 1's output, the masked input and layer 2's output,
-    # then the (passes, n) means and sigmas and their aggregation
-    assert mc_dropout_peak(2000) < block_arrays(2000, 3.5, 6)
+    # beside the (passes, n) means and sigmas; aggregation adds one scratch
+    # copy of them once layer 1's buffer is gone
+    assert mc_dropout_peak(2000) < block_arrays(2000, 3.25, 2.25)
 
 
 def test_mc_dropout_predict_masks_stay_block_sized():
@@ -435,7 +497,7 @@ def test_mc_dropout_predict_masks_stay_block_sized():
         n = blocks * models._PREDICT_BLOCK_ROWS
         assert len(models._row_blocks(n)) == blocks
         peak = mc_dropout_peak(n)
-        assert peak < block_arrays(n, 3.5, 6)
+        assert peak < block_arrays(n, 3.25, 2.25)
     assert peak < n * HIDDEN_WIDTH * 8
 
 
@@ -444,15 +506,15 @@ def test_head_gives_each_row_block_the_all_rows_bits(n):
     rng = np.random.default_rng(n)
     params = random_params(rng, 3)
     h2 = np.maximum(rng.normal(size=(n, HIDDEN_WIDTH)), 0.0)
-    full = models._head(h2, params)
+    full_mu, full_sigma = models._head(h2, params)
     for rows in models._row_blocks(n):
-        block = models._head(h2[rows], params)
-        assert block.mu.tobytes() == full.mu[rows].tobytes(), (
+        mu, sigma = models._head(h2[rows], params)
+        assert mu.tobytes() == full_mu[rows].tobytes(), (
             f"the head rounds rows {rows.start}:{rows.stop} of {n} differently from the "
             "all-rows product; OpenBLAS takes its small-matrix gemm path when "
             "M*N*K <= 1e6 (below 3907 rows here), so row blocks must stay above that"
         )
-        assert block.sigma.tobytes() == full.sigma[rows].tobytes()
+        assert sigma.tobytes() == full_sigma[rows].tobytes()
 
 
 def test_mc_dropout_predict_in_row_blocks_equals_tape_chain_bitwise():
@@ -473,7 +535,7 @@ def test_mc_dropout_predict_in_row_blocks_equals_tape_chain_bitwise():
         for _ in range(passes):
             mu, sigma = chain_mlp_forward(frozen, x, zero_one_masks(mask_rng, n, rate), rate)
             preds.append(GaussianPrediction(mu.value, sigma.value))
-        want = aggregate_mc(preds)
+        want = aggregate_ensemble(preds)
         got = mc_dropout_predict(params, x, passes=passes, dropout_rate=rate, seed=5)
         assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
 
@@ -490,12 +552,20 @@ def test_row_blocks_are_even_and_never_one_row():
         assert len(sizes) == 1 or min(sizes) >= block // 2
 
 
+def nll_input_grad(params, x, y):
+    """d NLL / d x on the tape: the gradient an FGSM step follows."""
+    leaf = nd.Node(x, requires_grad=True)
+    mu, sigma = mlp_forward(params, leaf)
+    (gx,) = nd.gradients(gaussian_nll(mu, sigma, y), [leaf])
+    return gx
+
+
 def test_fgsm_moves_inputs_by_eps_signs():
     ds = small_dataset(n=16)
     params = train(ds, TrainConfig(lam=0.0, epochs=2, batch_size=16, seed=8))
     x = ds.features[:8]
     y = ds.targets[:8]
-    out = fgsm_perturb(params, x, y, 0.05)
+    out = fgsm_perturb(x, nll_input_grad(params, x, y), 0.05)
     steps = out - x
     assert np.all(np.isin(np.round(np.abs(steps) / 0.05), [0.0, 1.0]))
     mu0, s0 = mlp_forward(params, x)
@@ -507,9 +577,10 @@ def test_fgsm_per_feature_eps_and_zero():
     ds = small_dataset(n=16)
     params = train(ds, TrainConfig(lam=0.0, epochs=1, batch_size=16, seed=9))
     x, y = ds.features[:4], ds.targets[:4]
-    assert np.array_equal(fgsm_perturb(params, x, y, 0.0), x)
+    grad = nll_input_grad(params, x, y)
+    assert np.array_equal(fgsm_perturb(x, grad, 0.0), x)
     eps = np.array([0.1, 0.0])
-    out = fgsm_perturb(params, x, y, eps)
+    out = fgsm_perturb(x, grad, eps)
     assert np.array_equal(out[:, 1], x[:, 1])
 
 
@@ -536,8 +607,6 @@ def test_ensemble_predict_aggregates_members():
         ds, TrainConfig(lam=0.0, epochs=2, batch_size=24, seed=21), EnsembleConfig(size=3)
     )
     x = ds.features[:6]
-    from quantcal.gaussian import aggregate_ensemble
-
     want = aggregate_ensemble([predict(m, x) for m in members])
     got = ensemble_predict(members, x)
     assert np.array_equal(got.mu, want.mu)
