@@ -33,18 +33,11 @@ from .softsort import SoftSortConfig, soft_sorted
 PIT_EPS = 1e-6
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-_WEIGHT_CACHE = {}
-
 
 def _gap_weights(n):
     """w_i = ((n - i)/n) ln((n - i)/n) for i = 1..n-1 (all nonpositive)."""
-    cached = _WEIGHT_CACHE.get(n)
-    if cached is None:
-        frac = (n - np.arange(1, n)) / n
-        cached = frac * np.log(frac)
-        cached.flags.writeable = False
-        _WEIGHT_CACHE[n] = cached
-    return cached
+    frac = (n - np.arange(1, n)) / n
+    return frac * np.log(frac)
 
 
 def _xlogx(v):

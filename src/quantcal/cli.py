@@ -17,7 +17,6 @@ rows so a full run finishes in well under a minute.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -28,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datasets import (Dataset, SplitSpec, descriptor_names, find_descriptor, load_csv,
-                       load_from_descriptor, make_splits, read_csv_rows, standardize, synth_hetero)
+from .datasets import (Dataset, SplitSpec, _has_type, descriptor_names, find_descriptor,
+                       load_csv, load_from_descriptor, make_splits, read_csv_rows, standardize,
+                       synth_hetero, write_csv)
 from .gaussian import pit
 from .metrics import MetricConfig, MetricsReport, calibration_error
 from .models import (
@@ -73,11 +73,6 @@ _FIELD_TYPES = {
     "int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
     "list[float] | None": (list, type(None)),
 }
-
-
-def _has_type(value, types):
-    # bool subclasses int, so it passes only where it is named
-    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
 def _is_finite_float(value):
@@ -169,6 +164,10 @@ class ExperimentConfig:
             )
         if self.lambdas is not None and not self.lambdas:
             raise ConfigError("lambdas must be a nonempty list when given")
+        # a lambda's value keys its summary rows and its {lam:g} spelling names its files
+        lams = self.lambdas or []
+        if len(set(map(float, lams))) < len(lams) or len({f"{lam:g}" for lam in lams}) < len(lams):
+            raise ConfigError(f"lambdas must differ in value and when printed as {{lam:g}}, got {lams!r}")
         for name in ("mc_passes", "synth_n"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -223,10 +222,7 @@ def _load_base_dataset(cfg):
     if cfg.dataset == "synth_hetero":
         ds = synth_hetero(cfg.synth_n, seed=cfg.seed)
     elif cfg.dataset.endswith(".csv"):
-        path = Path(cfg.dataset)
-        if not path.exists():
-            raise FileNotFoundError(f"dataset file {path} not found")
-        ds = load_csv(path)
+        ds = load_csv(cfg.dataset)  # a missing file raises FileNotFoundError naming it
     else:
         ds = load_from_descriptor(cfg.dataset, cfg.data_dir)
     if cfg.desk_scale and len(ds) > DESK_MAX_ROWS:
@@ -265,20 +261,10 @@ def _predict(cfg, members, x, seed):
 
 
 def _artifact_paths(out_dir, cfg, lam, split):
-    base = out_dir / "models"
+    stem = out_dir / "models" / f"{cfg.model}_lam{lam:g}_split{split}"
     if cfg.model == "mc_dropout":
-        return [base / f"mc_dropout_lam{lam:g}_split{split}.bin"]
-    return [
-        base / f"ensemble_lam{lam:g}_split{split}_m{j}.bin"
-        for j in range(cfg.ensemble_size)
-    ]
-
-
-def _write_csv(path, fields, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        writer.writerows(rows)
+        return [Path(f"{stem}.bin")]
+    return [Path(f"{stem}_m{j}.bin") for j in range(cfg.ensemble_size)]
 
 
 def _summarize(metric_rows):
@@ -300,7 +286,7 @@ def _summarize(metric_rows):
 
 
 def _write_summary(out_dir, summary):
-    _write_csv(
+    write_csv(
         out_dir / "summary.csv",
         SUMMARY_FIELDS,
         [
@@ -315,6 +301,11 @@ def _run_experiment(cfg, lambdas):
     """Train every (lambda, split) pair; returns metric rows, reliability
     rows, and the trained members keyed by (lam, split)."""
     ds = _load_base_dataset(cfg)
+    # after the data loads, so a dataset that fails leaves no --out, and before
+    # any model trains, so an --out that cannot be made costs no run
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "models").mkdir(exist_ok=True)
     mcfg = cfg.metric_config()
     metric_rows = []
     reliability_rows = []
@@ -347,8 +338,8 @@ def _run_experiment(cfg, lambdas):
 
 
 def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary):
-    _write_csv(out_dir / "metrics.csv", METRICS_FIELDS, [r.values() for r in metric_rows])
-    _write_csv(out_dir / "reliability.csv", RELIABILITY_FIELDS, reliability_rows)
+    write_csv(out_dir / "metrics.csv", METRICS_FIELDS, [r.values() for r in metric_rows])
+    write_csv(out_dir / "reliability.csv", RELIABILITY_FIELDS, reliability_rows)
     _write_summary(out_dir, summary)
     for (lam, split), members in members_by_run.items():
         for member, path in zip(members, _artifact_paths(out_dir, cfg, lam, split)):
@@ -365,10 +356,6 @@ def cmd_train(cfg, command="train"):
     plus the trade-off curve in curve.csv."""
     lambdas = cfg.resolved_lambdas(command)
     out_dir = Path(cfg.out)
-    # before any model trains, so an --out that cannot be made costs no run;
-    # a run that then fails leaves these directories empty
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "models").mkdir(exist_ok=True)
     metric_rows, reliability_rows, members_by_run = _run_experiment(cfg, lambdas)
     summary = _summarize(metric_rows)
     _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary)
@@ -382,7 +369,7 @@ def cmd_train(cfg, command="train"):
         print(f"wrote {out_dir / 'metrics.csv'}")
         return 0
     curve = [summary[(cfg.dataset, cfg.model, lam)] for lam in lambdas]
-    _write_csv(
+    write_csv(
         out_dir / "curve.csv",
         CURVE_FIELDS,
         [
@@ -442,7 +429,7 @@ def cmd_recalibrate(cfg):
             pre = calibration_error(pits, mcfg)
             post = calibration_error(apply_map(cal_map, pits), mcfg)
             rows.append((cfg.dataset, cfg.model, lam, split, pre, post, "*" if post > pre else ""))
-    _write_csv(out_dir / "recalib.csv", RECALIB_FIELDS, rows)
+    write_csv(out_dir / "recalib.csv", RECALIB_FIELDS, rows)
     for dataset, model, lam, split, pre, post, flag in rows:
         print(
             f"{dataset} {model} lam={lam:g} split={split}: "

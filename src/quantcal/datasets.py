@@ -102,6 +102,14 @@ def read_csv_rows(path, delimiter=",", has_header=True):
     return rows
 
 
+def write_csv(path, fields, rows):
+    """Write `fields` as the header, then `rows`; floats keep their repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        writer.writerows(rows)
+
+
 def _target_index(path, header, target_column):
     """Position of the target: a name in `header`, or an integer position in
     [-width, width)."""
@@ -298,6 +306,11 @@ _DESCRIPTOR_FIELDS = {
 }
 
 
+def _has_type(value, types):
+    # bool subclasses int, so it passes only where it is named
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
 def _check_descriptor(descriptor, source):
     """`descriptor`, if it is an object with the three required fields and
     every known field of its type; otherwise a ValueError naming `source`.
@@ -311,9 +324,7 @@ def _check_descriptor(descriptor, source):
             raise ValueError(f"{source}: descriptor has no {key!r} field")
     for key, types in _DESCRIPTOR_FIELDS.items():
         value = descriptor.get(key)
-        # bool subclasses int, so it passes only where it is named
-        if key in descriptor and (not isinstance(value, types)
-                                  or isinstance(value, bool) and bool not in types):
+        if key in descriptor and not _has_type(value, types):
             names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
             raise ValueError(f"{source}: descriptor field {key!r} must be {names}, got {value!r}")
     delimiter = descriptor.get("delimiter", ",")

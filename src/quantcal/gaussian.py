@@ -1,9 +1,9 @@
 """Gaussian predictive distributions: PIT values, NLL, mixture aggregation.
 
-A prediction is a per-point Normal(mu_i, sigma_i). Both Monte-Carlo dropout
-passes and ensemble members are combined by matching the first two moments
-of the equally weighted Gaussian mixture, which is what both aggregation
-rules below reduce to.
+A prediction is a per-point Normal(mu_i, sigma_i), sigma_i >= SIGMA_FLOOR.
+Monte-Carlo dropout passes and ensemble members are both combined by
+`aggregate_mc`, which matches the first two moments of the equally weighted
+Gaussian mixture. `gaussian_nll` is the one NLL, on the tape and in metrics.
 """
 
 from __future__ import annotations
@@ -87,10 +87,10 @@ def gaussian_nll(mu, sigma, y):
     return nd._result("gaussian_nll", value, (mu, sigma), backward)
 
 
-def _mixture_moments(mus, sigmas):
-    """Mean and sigma of the equally weighted Gaussian mixture whose k
-    components are the rows of the (k, n) arrays `mus` and `sigmas`, which
-    are checked and floored once here, as `GaussianPrediction` does.
+def aggregate_mc(mus, sigmas):
+    """Mean and sigma of the equally weighted Gaussian mixture of k passes,
+    the rows of (k, n) arrays `mus` and `sigmas`, which are checked and
+    floored once here, as `GaussianPrediction` does.
 
     The variance mean(sigma_i^2) + mean((mu_i - mu_bar)^2) equals the raw
     second-moment form mean(sigma_i^2 + mu_i^2) - mu_bar^2 but does not
@@ -117,14 +117,8 @@ def _mixture_moments(mus, sigmas):
     return GaussianPrediction(mu_bar, np.sqrt(var, out=var))
 
 
-def aggregate_mc(mus, sigmas):
-    """Combine Monte-Carlo dropout passes, the rows of (passes, n) arrays of
-    means and sigmas, into a single Gaussian."""
-    return _mixture_moments(mus, sigmas)
-
-
 def aggregate_ensemble(preds):
     """Combine ensemble member predictions into a single Gaussian."""
     if not preds:
         raise ValueError("aggregate: empty prediction list")
-    return _mixture_moments(np.stack([p.mu for p in preds]), np.stack([p.sigma for p in preds]))
+    return aggregate_mc(np.stack([p.mu for p in preds]), np.stack([p.sigma for p in preds]))

@@ -2,7 +2,8 @@
 
 Calibration error follows the M-bin squared form: average over expected
 confidence levels p_i = i/M of (observed fraction of PITs <= p_i minus
-p_i)^2, optionally times 100 to read as squared percentage points.
+p_i)^2, optionally times 100 to read as squared percentage points. The NLL
+is the value of `gaussian.gaussian_nll`, the expression training uses.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import LOG_2PI
+from .gaussian import gaussian_nll
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,13 @@ def rmse(preds, y):
 
 
 def predictive_nll(preds, y):
-    """Mean Gaussian negative log-likelihood (plain numpy, no tape)."""
+    """Mean Gaussian negative log-likelihood, `gaussian_nll`'s value."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != preds.mu.shape or y.size == 0:
         raise ValueError(
             f"predictive_nll: bad target shape {y.shape} for {preds.mu.shape}"
         )
-    z = (y - preds.mu) / preds.sigma
-    return float(np.mean(0.5 * LOG_2PI + np.log(preds.sigma) + 0.5 * z * z))
+    return gaussian_nll(preds.mu, preds.sigma, y).item()
 
 
 @dataclass

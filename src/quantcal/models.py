@@ -1,7 +1,7 @@
 """Heteroscedastic MLP regressors with two uncertainty baselines.
 
 One architecture serves everything: input -> 128 -> 128 -> (mu, raw scale),
-ReLU activations, sigma = softplus(raw) + 1e-6. On top of it:
+ReLU activations, sigma = softplus(raw) + SIGMA_FLOOR. On top of it:
 
 * Monte-Carlo dropout: train with dropout after each hidden layer, predict
   by aggregating several stochastic forward passes.
@@ -9,7 +9,7 @@ ReLU activations, sigma = softplus(raw) + 1e-6. On top of it:
   batch plus an FGSM copy along the batch's own input gradient, no dropout.
 
 Training minimizes mean NLL plus an optional uniformity penalty on the
-batch PIT values (see ckl.total_loss), optimized with Adam. On the tape the
+batch PIT values (`ckl.total_loss`), optimized with Adam. On the tape the
 network is one fused op plus one node per head column (`mlp_forward`);
 inference (`predict`, `mc_dropout_predict`) runs the same expressions in
 numpy with no tape, in row blocks of at most 8192 rows (at least 4096 when
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ndgrad as nd
-from .ckl import quantile_reg_loss
-from .gaussian import GaussianPrediction, aggregate_ensemble, aggregate_mc, gaussian_nll
+from .ckl import total_loss
+from .gaussian import SIGMA_FLOOR, GaussianPrediction, aggregate_ensemble, aggregate_mc, gaussian_nll
 from .ndgrad import Node
 from .softsort import SoftSortConfig
 
@@ -110,9 +110,9 @@ def init_mlp(n_features, rng):
     zero output layer.
 
     Zeroing the head makes the initial prediction mu = 0,
-    sigma = softplus(0) + 1e-6 for every input. A randomly initialized head
-    can start some points at softplus(-10) ~ 1e-4, and the resulting 1/sigma^2
-    spikes reliably blow up the first NLL epochs.
+    sigma = softplus(0) + SIGMA_FLOOR for every input. A randomly initialized
+    head can start some points at softplus(-10) ~ 1e-4, and the resulting
+    1/sigma^2 spikes reliably blow up the first NLL epochs.
     """
     if n_features < 1:
         raise ValueError(f"init_mlp: need at least one feature, got {n_features}")
@@ -195,6 +195,11 @@ def _mlp(x, params, masks):
     return nd._result("mlp", _affine(h2, w3, b3), parents, backward)
 
 
+def _sigma(raw):
+    """The scale head: softplus(raw) + SIGMA_FLOOR."""
+    return np.logaddexp(0.0, raw) + SIGMA_FLOOR
+
+
 def mlp_forward(params, x, dropout_masks=None):
     """Forward pass on the tape: three nodes, the network (`_mlp`) and the
     (mu, sigma) head columns, each shaped (n,). `x` is an array or a node;
@@ -214,19 +219,15 @@ def mlp_forward(params, x, dropout_masks=None):
     raw = out.value[:, 1]
     zeros = np.zeros(n)
     mu = nd._result("mu", out.value[:, 0], (out,), lambda g: (np.column_stack([g, zeros]),))
-    sigma = nd._result(
-        "sigma",
-        np.logaddexp(0.0, raw) + 1e-6,
-        (out,),
-        lambda g: (np.column_stack([zeros, g * expit(raw)]),),
-    )
+    sigma = nd._result("sigma", _sigma(raw), (out,),
+                       lambda g: (np.column_stack([zeros, g * expit(raw)]),))
     return mu, sigma
 
 
 def _head(h2, params):
     """The (mu, sigma) head on a layer-2 activation, off the tape."""
     out = _affine(h2, params.w3.value, params.b3.value)
-    return out[:, 0], np.logaddexp(0.0, out[:, 1]) + 1e-6
+    return out[:, 0], _sigma(out[:, 1])
 
 
 def predict(params, x):
@@ -313,16 +314,20 @@ def _batch_indices(order, batch_size):
     return chunks
 
 
+def _keep_mask(rng, keep, out):
+    """A dropout mask drawn into `out`: 1 / keep where a uniform draw is below
+    keep, else 0. Bit for bit a 0/1 mask divided by keep, without the divide."""
+    np.less(rng.random(out=out), keep, out=out)
+    out *= 1.0 / keep
+    return out
+
+
 def _dropout_masks(rng, n, dropout_rate):
     """Keep-scaled dropout masks for the two (n, 128) hidden layers, drawn in
-    order: 1 / keep where a uniform draw is below keep = 1 - rate, else 0.
-    Bit for bit a 0/1 mask divided by 1 - rate, without the divide."""
+    order with keep = 1 - rate (`_keep_mask`)."""
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {dropout_rate}")
-    keep = 1.0 - dropout_rate
-    return tuple(
-        np.where(rng.random((n, HIDDEN_WIDTH)) < keep, 1.0 / keep, 0.0) for _ in range(2)
-    )
+    return tuple(_keep_mask(rng, 1.0 - dropout_rate, np.empty((n, HIDDEN_WIDTH))) for _ in range(2))
 
 
 def fgsm_perturb(x, grad, eps):
@@ -334,21 +339,21 @@ def fgsm_perturb(x, grad, eps):
 def _batch_grads(params, xb, yb, masks, cfg, sort_cfg, adv_eps):
     """Loss value and parameter gradients; with `adv_eps`, of the mean loss
     of the batch and its FGSM copy, one graph each. The copy steps along the
-    batch's own input gradient: 0.5 d NLL / d x at lam = 0, else the NLL's."""
-    def losses(x):  # the NLL, and the NLL plus lam times the penalty as in ckl.total_loss
+    batch's own input gradient: 0.5 d NLL / d x at lam = 0, where the loss is
+    the NLL, else d NLL / d x from an NLL node on the clean graph's mu, sigma."""
+    def loss_of(x):
         mu, sigma = mlp_forward(params, x, masks)
-        nll = gaussian_nll(mu, sigma, yb)
-        return nll, (nll + cfg.lam * quantile_reg_loss(yb, mu, sigma, sort_cfg) if cfg.lam else nll)
+        return total_loss(yb, mu, sigma, cfg.lam, sort_cfg), mu, sigma
 
     if adv_eps is None:
-        loss = losses(xb)[1]
+        loss = loss_of(xb)[0]
         return loss.value, nd.gradients(loss, params.nodes())
     leaf = Node(xb, requires_grad=True)
-    nll, loss = losses(leaf)
+    loss, mu, sigma = loss_of(leaf)
     *grads, gx = nd.gradients(loss * 0.5, [*params.nodes(), leaf])
     if cfg.lam:
-        (gx,) = nd.gradients(nll, [leaf])
-    loss_a = losses(fgsm_perturb(xb, gx, adv_eps))[1]
+        (gx,) = nd.gradients(gaussian_nll(mu, sigma, yb), [leaf])
+    loss_a = loss_of(fgsm_perturb(xb, gx, adv_eps))[0]
     grads_a = nd.gradients(loss_a * 0.5, params.nodes())
     return (loss.value + loss_a.value) * 0.5, [a + b for a, b in zip(grads, grads_a)]
 
@@ -418,13 +423,10 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     masked, h2 = _block_buffers(n, 2)
 
     def mask(p, layer, rows, out):
-        """The keep-scaled mask of `layer` in pass p for `rows`, into `out`:
-        1 / keep where the draw is below keep, else 0, as `_dropout_masks`."""
+        """The keep-scaled mask of `layer` in pass p for `rows`, into `out`."""
         rng.bit_generator.state = start
         rng.bit_generator.advance(((2 * p + layer) * n + rows.start) * HIDDEN_WIDTH)
-        np.less(rng.random(out=out), keep, out=out)
-        out *= 1.0 / keep
-        return out
+        return _keep_mask(rng, keep, out)
 
     def layer2(h1, rows, p):
         a = mask(p, 0, rows, masked[: len(h1)])

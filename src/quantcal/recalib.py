@@ -12,12 +12,11 @@ knots pinned at (0, 0) and (1, 1).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import load_csv
+from .datasets import load_csv, write_csv
 from .gaussian import pit
 
 
@@ -114,10 +113,7 @@ def apply_map(cal_map, p):
 
 
 def save_map(cal_map, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "r"])
-        writer.writerows(zip(map(float, cal_map.knots_p), map(float, cal_map.knots_r)))
+    write_csv(path, ["p", "r"], zip(map(float, cal_map.knots_p), map(float, cal_map.knots_r)))
 
 
 def load_map(path):

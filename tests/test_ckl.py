@@ -92,12 +92,8 @@ def test_boundary_tolerance_clips():
     assert np.isfinite(est.value)
 
 
-def test_gap_weights_cached_and_frozen():
-    w1 = _gap_weights(64)
-    w2 = _gap_weights(64)
-    assert w1 is w2
-    assert not w1.flags.writeable
-    assert np.all(w1 <= 0.0)
+def test_gap_weights_nonpositive():
+    assert np.all(_gap_weights(64) <= 0.0)
 
 
 def make_instance(seed, n):

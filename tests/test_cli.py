@@ -93,6 +93,9 @@ def test_config_validation_errors():
         {"tau": float("inf")},
         {"dataset": "nope"},
         {"dataset": "gone.json"},
+        {"lambdas": [0, 0.0]},
+        {"lambdas": [0.1, 0.1000001]},
+        {"lambdas": [0, -0.0]},
     ],
     ids=json.dumps,
 )
@@ -613,13 +616,15 @@ def test_any_descriptor_exits_1_or_2_or_loads(tmp_path, capsys, monkeypatch, raw
     desc = tmp_path / "desc.json"
     desc.write_text(json.dumps(raw))
     config = write_config(tmp_path, {"data_dir": str(data)})
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
     capsys.readouterr()
     try:
-        rc = main(["train", "--config", config, "--dataset", str(desc), "--out", str(tmp_path / "out")])
+        rc = main(["train", "--config", config, "--dataset", str(desc), "--out", str(out)])
     except DescriptorLoaded:
         return
     err = capsys.readouterr().err
     assert rc in (1, 2) and err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and not out.exists()
     # a descriptor the loader rejects is named; a CSV fault names the CSV
     assert str(desc) in err or str(data) in err

@@ -235,12 +235,12 @@ def fgsm_eps(ds):
 @pytest.mark.parametrize("lam", [0.0, 20.0])
 def test_train_fgsm_steps_equal_tape_chain_bitwise(monkeypatch, lam):
     # at lam 0 the step's gradient is half the chain's; its signs must not move
-    calls, latest = count_calls(monkeypatch, models, ["mlp_forward", "gaussian_nll"])
+    calls, latest = count_calls(monkeypatch, models, ["mlp_forward", "total_loss"])
     steps = []
 
     def spy(x, grad, eps):
-        # the latest forward and NLL are the clean batch's; Adam has not stepped yet
-        params, y = latest["mlp_forward"][0], latest["gaussian_nll"][2]
+        # the latest forward and loss are the clean batch's; Adam has not stepped yet
+        params, y = latest["mlp_forward"][0], latest["total_loss"][0]
         x_adv = fgsm_perturb(x, grad, eps)
         steps.append((x_adv, chain_fgsm(params, x, y, eps)))
         return x_adv
