@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndgrad as nd
-from .gaussian import gaussian_nll
+from .gaussian import gaussian_nll, ndtr
 from .softsort import SoftSortConfig, soft_sorted
 
 # PIT values are clamped into [PIT_EPS, 1 - PIT_EPS] inside the loss so the
@@ -85,8 +85,6 @@ def ckl_uniform(samples):
 def _clipped_pit(y, mu, sigma):
     """Phi((y - mu) / sigma) clamped into [PIT_EPS, 1 - PIT_EPS], one tape
     op; the backward uses the exact normal density."""
-    from scipy.special import ndtr
-
     if np.any(sigma.value == 0.0):
         raise ValueError("quantile_reg_loss: zero sigma")
     d = y - mu.value

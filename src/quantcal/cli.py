@@ -31,7 +31,7 @@ from .datasets import (Dataset, SplitSpec, _has_type, descriptor_names, find_des
                        load_csv, load_from_descriptor, make_splits, read_csv_rows, standardize,
                        synth_hetero, write_csv)
 from .gaussian import pit
-from .metrics import MetricConfig, MetricsReport, calibration_error
+from .metrics import MetricConfig, MetricsReport, calibration_error, spearman
 from .models import (
     EnsembleConfig,
     TrainConfig,
@@ -381,9 +381,7 @@ def cmd_train(cfg, command="train"):
     for lam, mean in zip(lambdas, means):
         print(f"lam={lam:g}: mean calib_error {mean:.4f}")
     if len(lambdas) > 1:
-        from scipy.stats import spearmanr  # only sweep needs scipy.stats
-
-        rho = float(spearmanr(lambdas, means).statistic)
+        rho = spearman(lambdas, means)
         print(f"spearman(lambda, calib_error) = {rho:.3f}")
     print(f"wrote {out_dir / 'curve.csv'}")
     return 0

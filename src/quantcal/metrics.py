@@ -4,6 +4,8 @@ Calibration error follows the M-bin squared form: average over expected
 confidence levels p_i = i/M of (observed fraction of PITs <= p_i minus
 p_i)^2, optionally times 100 to read as squared percentage points. The NLL
 is the value of `gaussian.gaussian_nll`, the expression training uses.
+`spearman` is the rank correlation `sweep` reports between lambda and
+calibration error.
 """
 
 from __future__ import annotations
@@ -64,6 +66,30 @@ def predictive_nll(preds, y):
             f"predictive_nll: bad target shape {y.shape} for {preds.mu.shape}"
         )
     return gaussian_nll(preds.mu, preds.sigma, y).item()
+
+
+def _average_ranks(v):
+    """1-based ranks of the entries of `v`; tied entries share the mean of
+    the ranks they span."""
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    counts = np.diff(starts, append=len(s))
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def spearman(a, b):
+    """Spearman's rank correlation of two paired, NaN-free 1-d samples:
+    Pearson's correlation of their average ranks, NaN when either sample is
+    constant. This is scipy.stats.spearmanr's statistic, bit for bit."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if np.all(a == a[0]) or np.all(b == b[0]):
+        return float("nan")
+    ranks = np.column_stack((_average_ranks(a), _average_ranks(b)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 @dataclass

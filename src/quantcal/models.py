@@ -30,7 +30,8 @@ import numpy as np
 
 from . import ndgrad as nd
 from .ckl import total_loss
-from .gaussian import SIGMA_FLOOR, GaussianPrediction, aggregate_ensemble, aggregate_mc, gaussian_nll
+from .gaussian import (SIGMA_FLOOR, GaussianPrediction, aggregate_ensemble, aggregate_mc,
+                       gaussian_nll, libm_exp)
 from .ndgrad import Node
 from .softsort import SoftSortConfig
 
@@ -200,13 +201,18 @@ def _sigma(raw):
     return np.logaddexp(0.0, raw) + SIGMA_FLOOR
 
 
+def expit(x):
+    """The logistic 1 / (1 + exp(-x)) of each entry of the 1-d array x,
+    softplus's derivative, with the C library's exp, as scipy.special.expit
+    computes it, bit for bit."""
+    return 1.0 / (1.0 + libm_exp(-x))
+
+
 def mlp_forward(params, x, dropout_masks=None):
     """Forward pass on the tape: three nodes, the network (`_mlp`) and the
     (mu, sigma) head columns, each shaped (n,). `x` is an array or a node;
     `dropout_masks` is an optional pair of keep-scaled masks shaped (n, 128),
     drawn by `_dropout_masks` so that passes replay exactly."""
-    from scipy.special import expit
-
     x = nd.constant(x)
     _check_input(x.value, params.w1.value)
     n = x.shape[0]

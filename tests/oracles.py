@@ -12,16 +12,51 @@ relaxed permutation matrix; the closed form must stay within a stated
 bound of it. `reference_load_csv` is the CSV reader that made a Python
 string per cell and converted them with float(); numpy's text reader must
 give its values to the bit.
+
+scipy.special is the oracle of the package's own `ndtr` and `expit`, which
+must equal it to the bit (`assert_same_bits`) on any float64
+(`float64_arrays`).
 """
 
 import csv
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from quantcal import ndgrad as nd
 from quantcal.gaussian import GaussianPrediction
+
+
+def assert_same_bits(got, want):
+    """`got` equals `want` to the bit, shape included; any NaN matches any NaN."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    differ = got[~nan].view(np.int64) != want[~nan].view(np.int64)
+    assert not differ.any(), list(zip(want[~nan][differ][:5], got[~nan][differ][:5]))
+
+
+# arrays of arbitrary float64 bit patterns: NaNs of any payload, infinities,
+# subnormals and both zeros included
+float64_arrays = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64))
+
+# +-0, +-inf, NaN, the extreme subnormals, the smallest normal and the largest finite
+SPECIAL_FLOATS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                           2.225073858507201e-308, -2.225073858507201e-308,
+                           2.2250738585072014e-308, -2.2250738585072014e-308,
+                           1.7976931348623157e308, -1.7976931348623157e308])
+
+
+def ulp_neighbours(values, k=16):
+    """Each of the positive `values` and the k floats on either side of it, with their negatives."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)[:, None] + np.arange(-k, k + 1)
+    out = bits.ravel().view(np.float64)
+    return np.concatenate([out, -out])
 
 
 def _antideriv_log1m(x):

@@ -510,11 +510,21 @@ def test_report_loads_no_scipy(tiny_run, tmp_path):
     assert scipy_in_fresh_interpreter("report", "--out", str(run)) == set()
 
 
-def test_train_loads_scipy_special_but_not_stats(tmp_path):
-    loaded = scipy_in_fresh_interpreter("train", "--config", write_config(tmp_path),
-                                        "--out", str(tmp_path / "run"))
-    assert "scipy.special" in loaded
-    assert "scipy.stats" not in loaded
+@pytest.mark.parametrize("model", ["mc_dropout", "ensemble"])
+def test_train_and_recalibrate_load_no_scipy(tmp_path, model):
+    # lambda 20 also takes the normal CDF inside training, in the penalty
+    cfg = write_config(tmp_path, {"model": model, "ensemble_size": 2, "synth_n": 60, "epochs": 1,
+                                  "n_splits": 1, "mc_passes": 2, "lambdas": [0.0, 20.0]})
+    run = str(tmp_path / "run")
+    assert scipy_in_fresh_interpreter("train", "--config", cfg, "--out", run) == set()
+    assert scipy_in_fresh_interpreter("recalibrate", "--config", cfg, "--out", run) == set()
+
+
+def test_sweep_loads_no_scipy(tmp_path):
+    cfg = write_config(tmp_path, {"synth_n": 60, "epochs": 1, "n_splits": 1, "mc_passes": 2,
+                                  "lambdas": [0.0, 1.0, 20.0]})
+    assert scipy_in_fresh_interpreter("sweep", "--config", cfg,
+                                      "--out", str(tmp_path / "run")) == set()
 
 
 def test_console_entry_point_runs():

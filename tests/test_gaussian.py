@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr as scipy_ndtr
 
+from oracles import SPECIAL_FLOATS, assert_same_bits, float64_arrays, ulp_neighbours
 from quantcal import ndgrad as nd
 from quantcal.gaussian import (
     LOG_2PI,
@@ -13,6 +15,8 @@ from quantcal.gaussian import (
     aggregate_ensemble,
     aggregate_mc,
     gaussian_nll,
+    libm_exp,
+    ndtr,
     pit,
 )
 
@@ -189,3 +193,47 @@ def test_aggregate_equals_brute_force_property(seed, members):
     for out in (got, aggregate_ensemble(preds)):
         assert out.mu.tobytes() == mu_bar.tobytes()
         assert out.sigma.tobytes() == sigma_bar.tobytes()
+
+
+def test_ndtr_equals_scipy_on_special_values():
+    assert_same_bits(ndtr(SPECIAL_FLOATS), scipy_ndtr(SPECIAL_FLOATS))
+
+
+def test_ndtr_equals_scipy_at_branch_edges():
+    # with x = a / sqrt(2), Cephes switches at |x| = sqrt(1/2) (erf or erfc),
+    # 1 (erfc's own erf branch or exp) and 8 (P/Q or R/S)
+    v = ulp_neighbours([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)])
+    assert_same_bits(ndtr(v), scipy_ndtr(v))
+
+
+def test_ndtr_equals_scipy_on_a_dense_grid():
+    rng = np.random.default_rng(0)
+    v = np.concatenate([np.linspace(-40.0, 40.0, 400_001), rng.normal(size=200_000) * 3.0])
+    assert_same_bits(ndtr(v), scipy_ndtr(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(float64_arrays)
+def test_ndtr_equals_scipy_on_any_bits(v):
+    with np.errstate(invalid="ignore"):  # signalling NaNs raise the invalid flag
+        assert_same_bits(ndtr(v), scipy_ndtr(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(1.3, 1.5),  # |x| = 1
+    st.floats(11.2, 11.4),  # |x| = 8
+    st.floats(37.5, 38.6),  # erfc's subnormal results and its underflow to 0
+    st.floats(),
+), min_size=1, max_size=64))
+def test_ndtr_equals_scipy_near_branches_and_underflow(values):
+    v = np.array(values)
+    v = np.concatenate([v, -v])
+    assert_same_bits(ndtr(v), scipy_ndtr(v))
+
+
+def test_libm_exp_is_math_exp_with_inf_on_overflow():
+    v = np.array([-800.0, -1.5, 0.0, 1.0, 709.0, 710.0])
+    want = [math.exp(-800.0), math.exp(-1.5), 1.0, math.exp(1.0), math.exp(709.0), math.inf]
+    assert_same_bits(libm_exp(v), want)
+    assert np.isnan(libm_exp(np.array([np.nan]))[0])

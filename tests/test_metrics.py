@@ -1,6 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
+from oracles import assert_same_bits
 from quantcal.gaussian import GaussianPrediction
 from quantcal.metrics import (
     MetricConfig,
@@ -9,6 +15,7 @@ from quantcal.metrics import (
     predictive_nll,
     reliability_curve,
     rmse,
+    spearman,
 )
 
 
@@ -109,3 +116,34 @@ def test_report_accepts_external_pits():
     pred = GaussianPrediction(np.zeros(2), np.ones(2))
     report = MetricsReport.evaluate(pred, y, np.array([0.25, 0.75]))
     assert report.rmse == rmse(pred, y)
+
+
+def scipy_spearman(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant input warns and gives NaN
+        return spearmanr(a, b).statistic
+
+
+@pytest.mark.parametrize("a, b", [
+    ([0.0, 1.0, 5.0, 10.0, 20.0], [3.1, 2.9, 2.5, 2.6, 1.0]),  # untied
+    ([0.0, 1.0, 5.0, 10.0, 20.0], [2.0, 1.0, 1.0, 3.0, 1.0]),  # ties on one side
+    ([1.0, 1.0, 2.0, 2.0, 3.0], [0.5, 0.5, 0.5, 0.1, 0.2]),  # ties on both
+    ([0.0, 20.0], [1.5, 0.5]),
+    ([0.0, 1.0, 2.0], [4.0, 4.0, 4.0]),  # constant: NaN
+    ([5.0, 5.0], [0.1, 0.3]),
+])
+def test_spearman_equals_scipy(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and a constant side warns of no division by 0
+        rho = spearman(a, b)
+    assert_same_bits(rho, scipy_spearman(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 3) | st.floats(-1e3, 1e3), min_size=n, max_size=n),
+    st.lists(st.integers(0, 3) | st.floats(-1e3, 1e3), min_size=n, max_size=n),
+)))
+def test_spearman_equals_scipy_on_tied_and_untied_samples(pair):
+    a, b = (np.array(side, dtype=np.float64) for side in pair)
+    assert_same_bits(spearman(a, b), scipy_spearman(a, b))

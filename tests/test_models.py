@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit as scipy_expit
 
-from oracles import chain_mlp_forward
+from oracles import SPECIAL_FLOATS, assert_same_bits, chain_mlp_forward, float64_arrays
 from quantcal import cli, models
 from quantcal import ndgrad as nd
 from quantcal.ckl import total_loss
@@ -28,6 +29,7 @@ from quantcal.models import (
     adam_step,
     ensemble_predict,
     ensemble_train,
+    expit,
     fgsm_perturb,
     init_mlp,
     load_params,
@@ -747,3 +749,28 @@ def test_training_with_penalty_runs():
     params = train(ds, TrainConfig(lam=20.0, epochs=2, batch_size=48, seed=27))
     pred = predict(params, ds.features)
     assert np.all(np.isfinite(pred.mu)) and np.all(pred.sigma > 0)
+
+
+def test_expit_equals_scipy_on_special_values_and_a_dense_grid():
+    rng = np.random.default_rng(0)
+    for v in (SPECIAL_FLOATS, np.linspace(-60.0, 60.0, 400_001), rng.normal(size=200_000) * 5.0):
+        assert_same_bits(expit(v), scipy_expit(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(float64_arrays)
+def test_expit_equals_scipy_on_any_bits(v):
+    with np.errstate(invalid="ignore"):  # signalling NaNs raise the invalid flag
+        assert_same_bits(expit(v), scipy_expit(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(709.0, 746.0),  # exp(-x) overflows for x below -709.78
+    st.floats(709.78, 1e308),
+    st.floats(),
+), min_size=1, max_size=64))
+def test_expit_equals_scipy_where_exp_overflows(values):
+    v = np.array(values)
+    v = np.concatenate([v, -v])
+    assert_same_bits(expit(v), scipy_expit(v))
