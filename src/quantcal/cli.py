@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datasets import (Dataset, SplitSpec, _has_type, descriptor_names, find_descriptor,
-                       load_csv, load_from_descriptor, make_splits, read_csv_rows, standardize,
-                       synth_hetero, write_csv)
+from .datasets import (MIN_SPLIT_ROWS, Dataset, SplitSpec, _has_type, descriptor_names,
+                       find_descriptor, load_csv, load_from_descriptor, make_splits,
+                       read_csv_rows, standardize, synth_hetero, write_csv)
 from .gaussian import pit
 from .metrics import MetricConfig, MetricsReport, calibration_error, spearman
 from .models import (
@@ -168,9 +168,9 @@ class ExperimentConfig:
         lams = self.lambdas or []
         if len(set(map(float, lams))) < len(lams) or len({f"{lam:g}" for lam in lams}) < len(lams):
             raise ConfigError(f"lambdas must differ in value and when printed as {{lam:g}}, got {lams!r}")
-        for name in ("mc_passes", "synth_n"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, least in (("mc_passes", 1), ("synth_n", MIN_SPLIT_ROWS)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         try:
             self.split_spec()
             self.metric_config()
@@ -231,13 +231,15 @@ def _load_base_dataset(cfg):
     return ds
 
 
-def _split_runs(cfg, ds):
-    """The experiment loop every verb shares. Yields (split, fit, calib,
-    test_idx, transform) per seeded split: the standardized rows the model
-    trains on and those that fit the calibration map, the test rows, and the
-    standardization fitted on the training rows. `holdout` carves a seeded
-    fifth of the train split off before training so the map never sees
-    training rows; otherwise `calib` is `fit` itself, not a second copy."""
+def _split_runs(cfg, ds, lambdas, members_of):
+    """The (split, lambda) loop every verb shares. Yields (split, lam, fit,
+    calib, test_idx, transform, members, pred, pits) per seeded split and
+    lambda: the standardized rows the model trains on and those that fit the
+    calibration map, the test rows, the standardization fitted on the
+    training rows, `members_of(lam, split, fit)`, and their test prediction
+    under the split's seed with its PITs. `holdout` carves a seeded fifth of
+    the train split off before training so the map never sees training rows;
+    otherwise `calib` is `fit` itself, not a second copy."""
     for split, (train_idx, test_idx) in enumerate(make_splits(len(ds), cfg.split_spec())):
         fit_idx = calib_idx = train_idx
         if cfg.calib_split == "holdout":
@@ -249,7 +251,15 @@ def _split_runs(cfg, ds):
         calib = fit
         if calib_idx is not fit_idx:
             calib = Dataset(*transform.apply(ds.features[calib_idx], ds.targets[calib_idx]))
-        yield split, fit, calib, test_idx, transform
+        x_test, y_test = transform.apply(ds.features[test_idx], ds.targets[test_idx])
+        for lam in lambdas:
+            try:
+                members = members_of(lam, split, fit)
+                pred = _predict(cfg, members, x_test, cfg.train_seed(split) + PREDICT_SEED_OFFSET)
+                pits = pit(pred, y_test)
+            except (RuntimeError, ValueError) as exc:
+                raise RuntimeError(f"split {split}, lam={lam:g}: {exc}") from exc
+            yield split, lam, fit, calib, test_idx, transform, members, pred, pits
 
 
 def _predict(cfg, members, x, seed):
@@ -303,37 +313,30 @@ def _run_experiment(cfg, lambdas):
     ds = _load_base_dataset(cfg)
     # after the data loads, so a dataset that fails leaves no --out, and before
     # any model trains, so an --out that cannot be made costs no run
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "models").mkdir(exist_ok=True)
+    Path(cfg.out).mkdir(parents=True, exist_ok=True)
+
+    def members_of(lam, split, fit):
+        tcfg = cfg.train_config(lam, split)
+        if cfg.model == "mc_dropout":
+            return [train(fit, tcfg)]
+        return ensemble_train(fit, tcfg, cfg.ensemble_config())
+
     mcfg = cfg.metric_config()
     metric_rows = []
     reliability_rows = []
     members_by_run = {}
-    for split, fit, _, test_idx, transform in _split_runs(cfg, ds):
-        x_test, y_test_std = transform.apply(ds.features[test_idx], ds.targets[test_idx])
-        for lam in lambdas:
-            tcfg = cfg.train_config(lam, split)
-            try:
-                if cfg.model == "mc_dropout":
-                    members = [train(fit, tcfg)]
-                else:
-                    members = ensemble_train(fit, tcfg, cfg.ensemble_config())
-                pred = _predict(
-                    cfg, members, x_test, cfg.train_seed(split) + PREDICT_SEED_OFFSET
-                )
-            except (RuntimeError, ValueError) as exc:
-                raise RuntimeError(f"split {split}, lam={lam:g}: {exc}") from exc
-            pits = pit(pred, y_test_std)
-            report = MetricsReport.evaluate(
-                transform.inverse_predictions(pred), ds.targets[test_idx], pits, mcfg
-            )
-            row = (cfg.dataset, cfg.model, lam, split, len(fit), len(test_idx),
-                   report.calib_error, report.rmse, report.nll)
-            metric_rows.append(dict(zip(METRICS_FIELDS, row)))
-            for expected, observed in report.reliability:
-                reliability_rows.append((cfg.dataset, cfg.model, lam, split, expected, observed))
-            members_by_run[(lam, split)] = members
+    for split, lam, fit, _, test_idx, transform, members, pred, pits in _split_runs(
+        cfg, ds, lambdas, members_of
+    ):
+        report = MetricsReport.evaluate(
+            transform.inverse_predictions(pred), ds.targets[test_idx], pits, mcfg
+        )
+        row = (cfg.dataset, cfg.model, lam, split, len(fit), len(test_idx),
+               report.calib_error, report.rmse, report.nll)
+        metric_rows.append(dict(zip(METRICS_FIELDS, row)))
+        for expected, observed in report.reliability:
+            reliability_rows.append((cfg.dataset, cfg.model, lam, split, expected, observed))
+        members_by_run[(lam, split)] = members
     return metric_rows, reliability_rows, members_by_run
 
 
@@ -341,6 +344,7 @@ def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_r
     write_csv(out_dir / "metrics.csv", METRICS_FIELDS, [r.values() for r in metric_rows])
     write_csv(out_dir / "reliability.csv", RELIABILITY_FIELDS, reliability_rows)
     _write_summary(out_dir, summary)
+    (out_dir / "models").mkdir(exist_ok=True)
     for (lam, split), members in members_by_run.items():
         for member, path in zip(members, _artifact_paths(out_dir, cfg, lam, split)):
             save_params(member, path)
@@ -400,33 +404,28 @@ def cmd_recalibrate(cfg):
     cfg = ExperimentConfig.from_dict(stored, source=str(run_config_path))
     cfg.validate()
 
-    lambdas = cfg.resolved_lambdas("train")
     ds = _load_base_dataset(cfg)
+
+    def members_of(lam, split, fit):
+        # a missing file raises FileNotFoundError naming it
+        return [load_params(p) for p in _artifact_paths(out_dir, cfg, lam, split)]
+
     mcfg = cfg.metric_config()
-    (out_dir / "maps").mkdir(exist_ok=True)
+    maps = {}
     rows = []
-    for split, _, calib, test_idx, transform in _split_runs(cfg, ds):
-        x_test, y_test = transform.apply(ds.features[test_idx], ds.targets[test_idx])
-        for lam in lambdas:
-            paths = _artifact_paths(out_dir, cfg, lam, split)
-            missing = [str(p) for p in paths if not p.exists()]
-            if missing:
-                raise FileNotFoundError(f"model artifact(s) not found: {missing}")
-            members = [load_params(p) for p in paths]
-            if members[0].n_features != x_test.shape[1]:
-                raise ValueError(
-                    f"artifact for lam={lam:g} split={split} expects "
-                    f"{members[0].n_features} features, dataset has {x_test.shape[1]}"
-                )
-            seed = cfg.train_seed(split)
-            pred_calib = _predict(cfg, members, calib.features, seed + CALIB_SEED_OFFSET)
-            cal_map = fit_calibration_map(pred_calib, calib.targets)
-            save_map(cal_map, out_dir / "maps" / f"{cfg.model}_lam{lam:g}_split{split}.csv")
-            pred_test = _predict(cfg, members, x_test, seed + PREDICT_SEED_OFFSET)
-            pits = pit(pred_test, y_test)
-            pre = calibration_error(pits, mcfg)
-            post = calibration_error(apply_map(cal_map, pits), mcfg)
-            rows.append((cfg.dataset, cfg.model, lam, split, pre, post, "*" if post > pre else ""))
+    for split, lam, _, calib, _, _, members, _, pits in _split_runs(
+        cfg, ds, cfg.resolved_lambdas("train"), members_of
+    ):
+        seed = cfg.train_seed(split) + CALIB_SEED_OFFSET
+        cal_map = fit_calibration_map(_predict(cfg, members, calib.features, seed), calib.targets)
+        maps[f"{cfg.model}_lam{lam:g}_split{split}.csv"] = cal_map
+        pre = calibration_error(pits, mcfg)
+        post = calibration_error(apply_map(cal_map, pits), mcfg)
+        rows.append((cfg.dataset, cfg.model, lam, split, pre, post, "*" if post > pre else ""))
+    # only after every run, so a failed one leaves the earlier maps as they were
+    (out_dir / "maps").mkdir(exist_ok=True)
+    for name, cal_map in maps.items():
+        save_map(cal_map, out_dir / "maps" / name)
     write_csv(out_dir / "recalib.csv", RECALIB_FIELDS, rows)
     for dataset, model, lam, split, pre, post, flag in rows:
         print(

@@ -249,14 +249,18 @@ class SplitSpec:
             raise ValueError(f"SplitSpec: seed must be nonnegative, got {self.seed}")
 
 
+# the fewest rows `make_splits` takes, so both sides are nonempty at sensible fractions
+MIN_SPLIT_ROWS = 5
+
+
 def make_splits(n, spec=SplitSpec()):
     """Independent random train/test partitions of range(n).
 
     Returns a list of (train_idx, test_idx) pairs, each sorted; requires
-    n >= 5 so both sides are nonempty at sensible fractions.
+    n >= MIN_SPLIT_ROWS.
     """
-    if n < 5:
-        raise ValueError(f"make_splits: need at least 5 rows, got {n}")
+    if n < MIN_SPLIT_ROWS:
+        raise ValueError(f"make_splits: need at least {MIN_SPLIT_ROWS} rows, got {n}")
     n_test = int(round(n * spec.test_fraction))
     n_test = min(max(n_test, 1), n - 1)
     rng = np.random.default_rng(spec.seed)

@@ -96,6 +96,7 @@ def test_config_validation_errors():
         {"lambdas": [0, 0.0]},
         {"lambdas": [0.1, 0.1000001]},
         {"lambdas": [0, -0.0]},
+        {"synth_n": 4},
     ],
     ids=json.dumps,
 )
@@ -169,11 +170,14 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
          "lambdas": [0.0]},
         name="bad.json",
     )
+    out = tmp_path / "r2"
     with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["train", "--config", bad, "--out", str(tmp_path / "r2")])
+        rc = main(["train", "--config", bad, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert "split 0" in err and "non-finite" in err
+    # every run is computed before any output is written
+    assert list(out.iterdir()) == []
 
 
 def test_train_writes_expected_outputs(tmp_path):
@@ -254,10 +258,12 @@ def test_recalibrate_holdout_mode(tmp_path):
     assert int(rows[0]["n_train"]) < 120 - int(rows[0]["n_test"])
 
 
+@pytest.mark.parametrize("model", cli.MODELS)
 @pytest.mark.parametrize("mode", cli.CALIB_SPLITS)
-def test_recalibrate_uses_stored_calib_split(tmp_path, capsys, mode):
+def test_recalibrate_uses_stored_calib_split(tmp_path, capsys, mode, model):
     out = tmp_path / "run"
-    main(["train", "--config", write_config(tmp_path, {"calib_split": mode}), "--out", str(out)])
+    overrides = {"calib_split": mode, "model": model, "ensemble_size": 2}
+    main(["train", "--config", write_config(tmp_path, overrides), "--out", str(out)])
     assert main(["recalibrate", "--out", str(out)]) == 0
     # the unrecalibrated score is the one train wrote, so both verbs
     # standardized on the same rows
@@ -271,6 +277,36 @@ def test_recalibrate_uses_stored_calib_split(tmp_path, capsys, mode):
     capsys.readouterr()
     assert main(["recalibrate", "--out", str(out), "--calib-split", other]) == 2
     assert "unrecognized arguments: --calib-split" in capsys.readouterr().err
+
+
+def test_recalibrate_missing_artifact_exits_2_writing_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"synth_n": 60, "epochs": 1, "n_splits": 1, "mc_passes": 2})
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    gone = out / "models" / "mc_dropout_lam20_split0.bin"
+    gone.unlink()
+    capsys.readouterr()
+    assert main(["recalibrate", "--out", str(out)]) == 2
+    # lam=0 ran first, but its map waits for every run
+    assert_one_error_line(capsys.readouterr().err, gone)
+    assert not (out / "maps").exists() and not (out / "recalib.csv").exists()
+
+
+def test_recalibrate_on_a_wider_csv_exits_1_naming_the_run(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("x,y\n" + "".join(f"{i * 0.1},{i * 0.2}\n" for i in range(60)))
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"dataset": str(data), "n_splits": 1, "lambdas": [0.0],
+                                  "epochs": 1, "mc_passes": 2})
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    # a second varying feature the stored models do not take (standardize
+    # drops a constant one, so that would still fit)
+    data.write_text("c,x,y\n" + "".join(f"{i % 7},{i * 0.1},{i * 0.2}\n" for i in range(60)))
+    capsys.readouterr()
+    assert main(["recalibrate", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: split 0, lam=0: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not (out / "maps").exists()
 
 
 @pytest.fixture(scope="module")
@@ -616,7 +652,7 @@ class DescriptorLoaded(Exception):
 @example(raw={"name": "x", "filename": "gone.csv", "source": "a\nb"})
 @example(raw={"name": "a\nb", "filename": "tiny.csv", "source": "y", "expected_rows": 2})
 def test_any_descriptor_exits_1_or_2_or_loads(tmp_path, capsys, monkeypatch, raw):
-    def loaded(cfg, ds):
+    def loaded(*args):
         raise DescriptorLoaded
 
     monkeypatch.setattr(cli, "_split_runs", loaded)
