@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -52,6 +53,8 @@ DESK_MAX_ROWS = 500
 TRAIN_SEED_STRIDE = 1000
 PREDICT_SEED_OFFSET = 500000
 CALIB_SEED_OFFSET = 600000
+# run_config.json's record of the values `train` loaded (`_data_digest`)
+DIGEST_KEY = "data_sha256"
 
 MODELS = ("mc_dropout", "ensemble")
 CALIB_SPLITS = ("train", "holdout")
@@ -231,6 +234,16 @@ def _load_base_dataset(cfg):
     return ds
 
 
+def _data_digest(ds):
+    """sha256 of the dataset's float64 values, the features column by column
+    and then the targets. `load_csv`'s features lie in column order already,
+    so their buffer is hashed without a copy; a reformatted CSV with the same
+    values gives the same digest."""
+    digest = hashlib.sha256(np.asfortranarray(ds.features).T)
+    digest.update(np.ascontiguousarray(ds.targets))
+    return digest.hexdigest()
+
+
 def _split_runs(cfg, ds, lambdas, members_of):
     """The (split, lambda) loop every verb shares. Yields (split, lam, fit,
     calib, test_idx, transform, members, pred, pits) per seeded split and
@@ -257,8 +270,9 @@ def _split_runs(cfg, ds, lambdas, members_of):
                 members = members_of(lam, split, fit)
                 pred = _predict(cfg, members, x_test, cfg.train_seed(split) + PREDICT_SEED_OFFSET)
                 pits = pit(pred, y_test)
-            except (RuntimeError, ValueError) as exc:
-                raise RuntimeError(f"split {split}, lam={lam:g}: {exc}") from exc
+            except (RuntimeError, ValueError, MemoryError) as exc:
+                detail = str(exc) or type(exc).__name__  # a bare MemoryError has no message
+                raise RuntimeError(f"split {split}, lam={lam:g}: {detail}") from exc
             yield split, lam, fit, calib, test_idx, transform, members, pred, pits
 
 
@@ -309,7 +323,7 @@ def _write_summary(out_dir, summary):
 
 def _run_experiment(cfg, lambdas):
     """Train every (lambda, split) pair; returns metric rows, reliability
-    rows, and the trained members keyed by (lam, split)."""
+    rows, the trained members keyed by (lam, split) and the data's digest."""
     ds = _load_base_dataset(cfg)
     # after the data loads, so a dataset that fails leaves no --out, and before
     # any model trains, so an --out that cannot be made costs no run
@@ -337,10 +351,11 @@ def _run_experiment(cfg, lambdas):
         for expected, observed in report.reliability:
             reliability_rows.append((cfg.dataset, cfg.model, lam, split, expected, observed))
         members_by_run[(lam, split)] = members
-    return metric_rows, reliability_rows, members_by_run
+    return metric_rows, reliability_rows, members_by_run, _data_digest(ds)
 
 
-def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary):
+def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary,
+                       digest):
     write_csv(out_dir / "metrics.csv", METRICS_FIELDS, [r.values() for r in metric_rows])
     write_csv(out_dir / "reliability.csv", RELIABILITY_FIELDS, reliability_rows)
     _write_summary(out_dir, summary)
@@ -350,6 +365,7 @@ def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_r
             save_params(member, path)
     resolved = dataclasses.asdict(cfg)
     resolved["version"] = __version__
+    resolved[DIGEST_KEY] = digest
     with open(out_dir / "run_config.json", "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -360,9 +376,10 @@ def cmd_train(cfg, command="train"):
     plus the trade-off curve in curve.csv."""
     lambdas = cfg.resolved_lambdas(command)
     out_dir = Path(cfg.out)
-    metric_rows, reliability_rows, members_by_run = _run_experiment(cfg, lambdas)
+    metric_rows, reliability_rows, members_by_run, digest = _run_experiment(cfg, lambdas)
     summary = _summarize(metric_rows)
-    _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary)
+    _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary,
+                       digest)
     if command != "sweep":
         for (dataset, model, lam), stats in summary.items():
             mean, std = stats["calib_error"]
@@ -401,10 +418,17 @@ def cmd_recalibrate(cfg):
         )
     stored = _read_json_object(run_config_path)
     stored.pop("version", None)
+    trained_on = stored.pop(DIGEST_KEY, None)
     cfg = ExperimentConfig.from_dict(stored, source=str(run_config_path))
     cfg.validate()
 
     ds = _load_base_dataset(cfg)
+    digest = _data_digest(ds)
+    if trained_on != digest:
+        raise ConfigError(
+            f"{run_config_path}: the dataset is not the one the models were trained on: "
+            f"{DIGEST_KEY} {trained_on} there, {digest} in {cfg.dataset}"
+        )
 
     def members_of(lam, split, fit):
         # a missing file raises FileNotFoundError naming it
@@ -582,8 +606,8 @@ def main(argv=None):
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, RuntimeError, ValueError, KeyError) as exc:  # OSError names its path
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, RuntimeError, ValueError, KeyError, MemoryError) as exc:  # OSError names its path
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

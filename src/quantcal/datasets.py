@@ -40,9 +40,14 @@ class Standardization:
     kept_columns: np.ndarray
 
     def apply(self, features, targets):
-        features = np.asarray(features, dtype=np.float64)[:, self.kept_columns]
-        z = (features - self.feature_mean) / self.feature_std
-        t = (np.asarray(targets, dtype=np.float64) - self.target_mean) / self.target_std
+        """The standardized copies of `features` and `targets`: the column
+        selection and the target difference are fresh arrays, so the rest
+        runs in place on them, with the bits of (f - mean) / std."""
+        z = np.asarray(features, dtype=np.float64)[:, self.kept_columns]
+        z -= self.feature_mean
+        z /= self.feature_std
+        t = np.asarray(targets, dtype=np.float64) - self.target_mean
+        t /= self.target_std
         return z, t
 
     def inverse_predictions(self, preds):

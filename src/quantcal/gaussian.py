@@ -79,18 +79,20 @@ def _p1evl(x, coef):
 
 
 def _erfc_outer(z):
-    """Cephes' erfc for z >= 1 (NaN passes through), 0 where it underflows."""
+    """Cephes' erfc for z >= 1 (NaN passes through), 0 where it underflows.
+    A branch with no entries is skipped: R/S, z >= 8, seldom has any."""
     with np.errstate(over="ignore"):
         zz = z * z
     out = np.zeros_like(z)
     live = ~(zz > MAXLOG)
     zl = z[live]
     e = libm_exp(-zz[live])
-    pq = zl < 8.0
     c = np.empty_like(zl)
-    c[pq] = (e[pq] * _polevl(zl[pq], _P)) / _p1evl(zl[pq], _Q)
-    rs = ~pq
-    c[rs] = (e[rs] * _polevl(zl[rs], _R)) / _p1evl(zl[rs], _S)
+    pq = zl < 8.0
+    for branch, num, den in ((pq, _P, _Q), (~pq, _R, _S)):
+        zb = zl[branch]
+        if zb.size:
+            c[branch] = (e[branch] * _polevl(zb, num)) / _p1evl(zb, den)
     out[live] = c
     return out
 
@@ -99,20 +101,26 @@ def ndtr(a):
     """Standard normal CDF of each entry, as Cephes' ndtr (scipy.special.ndtr)
     computes it, bit for bit: with x = a / sqrt(2), 0.5 + 0.5 erf(x) where
     |x| < sqrt(1/2), else erfc(|x|) / 2, reflected where x > 0. NaN gives
-    NaN. Only the erfc entries beyond |x| = 1 call exp."""
+    NaN. Only the erfc entries beyond |x| = 1 call exp, and a branch with no
+    entries is skipped."""
     x = np.asarray(a, dtype=np.float64) * SQRT1_2
     z = np.abs(x)
+    h = np.empty_like(z)  # erfc(|x|) / 2
     inner = z < 1.0
     zi = z[inner]
-    zz = zi * zi
-    e = zi * _polevl(zz, _T) / _p1evl(zz, _U)  # erf(|x|), which Cephes' erfc uses below 1
-    h = np.empty_like(z)  # erfc(|x|) / 2
-    h[inner] = 0.5 * (1.0 - e)
-    h[~inner] = 0.5 * _erfc_outer(z[~inner])
+    if zi.size:
+        zz = zi * zi
+        e = zi * _polevl(zz, _T) / _p1evl(zz, _U)  # erf(|x|), which Cephes' erfc uses below 1
+        h[inner] = 0.5 * (1.0 - e)
+    outer = ~inner
+    zo = z[outer]
+    if zo.size:
+        h[outer] = 0.5 * _erfc_outer(zo)
     y = np.where(x > 0, 1.0 - h, h)
-    # erf is odd to the bit, so erf(x) is erf(|x|) with x's sign
-    near = z < SQRT1_2
-    y[near] = 0.5 + 0.5 * np.copysign(e[near[inner]], x[near])
+    if zi.size:
+        # erf is odd to the bit, so erf(x) is erf(|x|) with x's sign
+        near = z < SQRT1_2
+        y[near] = 0.5 + 0.5 * np.copysign(e[near[inner]], x[near])
     return y
 
 

@@ -13,11 +13,15 @@ batch PIT values (`ckl.total_loss`), optimized with Adam. On the tape the
 network is one fused op plus one node per head column (`mlp_forward`);
 inference (`predict`, `mc_dropout_predict`) runs the same expressions in
 numpy with no tape, in row blocks of at most 8192 rows (at least 4096 when
-there are several), so its memory is set by the block size, not by n. MC
-dropout computes a block's first layer once and replays each pass's mask
-draws for the block from the seed's stream with `PCG64.advance`, so every
-row gets the bits of an all-rows pass, and `aggregate_mc` takes the passes'
-(passes, n) outputs as they are.
+there are several), so its memory is set by the block size, not by n: two
+(block rows, 128) arrays, a block's layer-1 and layer-2 outputs, and its
+(passes, block rows) means and sigmas, which are combined per block into
+the (n,) outputs. MC dropout computes a block's first layer once and runs
+each pass's second layer in even chunks of at most 512 rows, replaying the
+chunk's mask draws from the seed's stream with `PCG64.advance`, so every
+row gets the bits of an all-rows pass; `aggregate_mc` mixes each block's
+passes, and its axis-0 means add pass by pass per column, as one all-rows
+call does.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from .softsort import SoftSortConfig
 HIDDEN_WIDTH = 128
 # the most rows in one block of inference: 8 MiB per (rows, 128) array
 _PREDICT_BLOCK_ROWS = 8192
+# the most rows in one chunk of an MC-dropout pass's layer 2: 512 KiB of masks
+_MASK_CHUNK_ROWS = 512
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 _MAGIC = b"QCMP"
@@ -239,42 +245,49 @@ def _head(h2, params):
 def predict(params, x):
     """Deterministic single forward pass (no dropout), off the tape."""
     w2, b2 = params.w2.value, params.b2.value
-    (mu,), (sigma,) = _blockwise(params, x, 1, lambda h1, rows, p: _hidden(h1, w2, b2))
-    return GaussianPrediction(mu, sigma)
+    return _blockwise(params, x, 1, lambda h1, rows, p, out: _hidden(h1, w2, b2, out=out),
+                      lambda mus, sigmas: GaussianPrediction(mus[0], sigmas[0]))
 
 
-def _row_blocks(n):
-    """Slices that cut n rows into the fewest blocks of at most
-    `_PREDICT_BLOCK_ROWS`, as even as possible, so every block of a
-    multi-block n has at least 4096 rows. A block's rows then round as they
-    do in the all-rows product: the (rows, 128) @ (128, 2) head takes
-    OpenBLAS's small-matrix path, which rounds differently, only while
-    rows * 128 * 2 <= 1e6, below 3907 rows."""
-    k = max(1, -(-n // _PREDICT_BLOCK_ROWS))
+def _row_blocks(n, size=_PREDICT_BLOCK_ROWS):
+    """Slices that cut n rows into the fewest blocks of at most `size`, as
+    even as possible, so every block of a multi-block n has at least size / 2
+    rows. A block's rows then round as they do in the all-rows products: at
+    the default size, the (rows, 128) @ (128, 2) head takes OpenBLAS's
+    small-matrix path, which rounds differently, only while
+    rows * 128 * 2 <= 1e6, below 3907 rows; at `_MASK_CHUNK_ROWS`, no chunk
+    of layer 2 is a single row, which numpy would send to gemv."""
+    k = max(1, -(-n // size))
     edges = [n * i // k for i in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _block_buffers(n, count):
-    """`count` scratch (rows, 128) arrays, rows the widest of `_row_blocks(n)`."""
-    return np.empty((count, max(rows.stop - rows.start for rows in _row_blocks(n)), HIDDEN_WIDTH))
-
-
-def _blockwise(params, x, passes, layer2):
-    """The (passes, n) means and sigmas of `passes` predictions over the rows
-    of `x`, one row block at a time: layer 1 runs once per block, then pass p
-    takes the block's layer-2 activation from `layer2(h1, rows, p)` and runs
-    the head on it. Only the outputs span all rows."""
+def _blockwise(params, x, passes, layer2, combine):
+    """The prediction `combine` makes of `passes` passes over the rows of
+    `x`, one row block at a time: layer 1 runs once per block, then pass p
+    takes the block's layer-2 activation from `layer2(h1, rows, p, out)`,
+    written into `out`, and runs the head on it. `combine` turns the block's
+    (passes, block rows) means and sigmas into its GaussianPrediction. Two
+    (block rows, 128) arrays, h1 and h2, and the block's passes are all the
+    scratch; only the (n,) outputs span all rows."""
     x = _check_input(x, params.w1.value)
-    (h1_rows,) = _block_buffers(len(x), 1)
-    mu = np.empty((passes, len(x)))
+    blocks = _row_blocks(len(x))
+    width = max(rows.stop - rows.start for rows in blocks)
+    h1_rows, h2_rows = np.empty((2, width, HIDDEN_WIDTH))
+    mus_rows, sigmas_rows = np.empty((2, passes * width))
+    mu = np.empty(len(x))
     sigma = np.empty_like(mu)
-    for rows in _row_blocks(len(x)):
-        h1_out = h1_rows[: rows.stop - rows.start]
-        h1 = _hidden(x[rows], params.w1.value, params.b1.value, out=h1_out)
+    for rows in blocks:
+        m = rows.stop - rows.start
+        h1 = _hidden(x[rows], params.w1.value, params.b1.value, out=h1_rows[:m])
+        # contiguous (passes, m) views, so the mixture's axis-0 sums run as on all rows
+        mus = mus_rows[: passes * m].reshape(passes, m)
+        sigmas = sigmas_rows[: passes * m].reshape(passes, m)
         for p in range(passes):
-            mu[p, rows], sigma[p, rows] = _head(layer2(h1, rows, p), params)
-    return mu, sigma
+            mus[p], sigmas[p] = _head(layer2(h1, rows, p, h2_rows[:m]), params)
+        block = combine(mus, sigmas)
+        mu[rows], sigma[rows] = block.mu, block.sigma
+    return GaussianPrediction(mu, sigma)
 
 
 @dataclass
@@ -408,12 +421,14 @@ def train(dataset, cfg, adv_eps=None, loss_history=None):
 
 def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     """Aggregate `passes` stochastic forward passes into one Gaussian, off
-    the tape, one row block at a time (`_blockwise`). The masks are those of
-    passes drawn in the order `_dropout_masks` draws them: pass by pass,
-    layer 1's keep decisions for all n rows, then layer 2's. `Generator.random`
-    takes one PCG64 output per double, so a block's mask for layer L of pass p
-    is drawn from the seed's state advanced by ((2p + L) n + first row) * 128
-    outputs, and each pass gives every row the bits of an all-rows pass."""
+    the tape, one row block at a time (`_blockwise`), each block's passes
+    mixed by `aggregate_mc`. The masks are those of passes drawn in the order
+    `_dropout_masks` draws them: pass by pass, layer 1's keep decisions for
+    all n rows, then layer 2's. `Generator.random` takes one PCG64 output per
+    double, so layer 2 runs in even chunks of at most `_MASK_CHUNK_ROWS` rows
+    of a block, and a chunk's mask for layer L of pass p is drawn from the
+    seed's state advanced by ((2p + L) n + first row) * 128 outputs; each
+    pass gives every row the bits of an all-rows pass."""
     if passes < 1:
         raise ValueError(f"mc_dropout_predict: passes must be positive, got {passes}")
     if not 0.0 < dropout_rate < 1.0:
@@ -425,23 +440,27 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     rng = np.random.default_rng(seed)
     start = rng.bit_generator.state
     keep = 1.0 - dropout_rate
-    # a block's masked layer-1 input (then its layer-2 mask) and layer-2 output
-    masked, h2 = _block_buffers(n, 2)
+    w2, b2 = params.w2.value, params.b2.value
+    # a chunk's masked layer-2 input, then its layer-2 output's mask
+    scratch = np.empty((min(n, _MASK_CHUNK_ROWS), HIDDEN_WIDTH))
 
-    def mask(p, layer, rows, out):
-        """The keep-scaled mask of `layer` in pass p for `rows`, into `out`."""
+    def mask(p, layer, first_row, out):
+        """The keep-scaled mask of `layer` in pass p for len(out) rows from
+        `first_row`, into `out`."""
         rng.bit_generator.state = start
-        rng.bit_generator.advance(((2 * p + layer) * n + rows.start) * HIDDEN_WIDTH)
+        rng.bit_generator.advance(((2 * p + layer) * n + first_row) * HIDDEN_WIDTH)
         return _keep_mask(rng, keep, out)
 
-    def layer2(h1, rows, p):
-        a = mask(p, 0, rows, masked[: len(h1)])
-        a *= h1
-        out = _hidden(a, params.w2.value, params.b2.value, out=h2[: len(h1)])
-        out *= mask(p, 1, rows, a)
+    def layer2(h1, rows, p, out):
+        for chunk in _row_blocks(len(h1), _MASK_CHUNK_ROWS):
+            first_row = rows.start + chunk.start
+            a = mask(p, 0, first_row, scratch[: chunk.stop - chunk.start])
+            a *= h1[chunk]
+            h2 = _hidden(a, w2, b2, out=out[chunk])
+            h2 *= mask(p, 1, first_row, a)
         return out
 
-    return aggregate_mc(*_blockwise(params, x, passes, layer2))
+    return _blockwise(params, x, passes, layer2, aggregate_mc)
 
 
 def ensemble_train(dataset, cfg, ens_cfg=EnsembleConfig()):

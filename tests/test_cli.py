@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from quantcal import cli
+from quantcal import cli, softsort
 from quantcal.cli import ExperimentConfig, main
+from quantcal.datasets import load_csv
 
 TINY = {
     "dataset": "synth_hetero",
@@ -300,13 +301,67 @@ def test_recalibrate_on_a_wider_csv_exits_1_naming_the_run(tmp_path, capsys):
                                   "epochs": 1, "mc_passes": 2})
     assert main(["train", "--config", cfg, "--out", str(out)]) == 0
     # a second varying feature the stored models do not take (standardize
-    # drops a constant one, so that would still fit)
+    # drops a constant one, so that would still fit), under the new data's
+    # digest, so the run reaches the models
     data.write_text("c,x,y\n" + "".join(f"{i % 7},{i * 0.1},{i * 0.2}\n" for i in range(60)))
+    run_config = out / "run_config.json"
+    stored = json.loads(run_config.read_text())
+    stored[cli.DIGEST_KEY] = cli._data_digest(load_csv(data))
+    run_config.write_text(json.dumps(stored))
     capsys.readouterr()
     assert main(["recalibrate", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: split 0, lam=0: ") and err.count("\n") == 1
     assert "Traceback" not in err and not (out / "maps").exists()
+
+
+def write_table(path, values, cell="{!r}"):
+    path.write_text("x,y\n" + "".join(
+        ",".join(cell.format(float(v)) for v in row) + "\n" for row in values))
+
+
+def test_recalibrate_checks_the_data_it_was_trained_on(tmp_path, capsys):
+    values = np.random.default_rng(0).normal(size=(60, 2))
+    data = tmp_path / "data.csv"
+    write_table(data, values)
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"dataset": str(data), "n_splits": 1, "epochs": 1, "mc_passes": 2})
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    run_config = out / "run_config.json"
+    trained_on = json.loads(run_config.read_text())[cli.DIGEST_KEY]
+    # the same values, spelled another way
+    write_table(data, values, cell='"{:.17e}"')
+    assert main(["recalibrate", "--out", str(out)]) == 0
+    for column in (0, 1):  # a feature, then the target
+        changed = values.copy()
+        changed[::7, column] += 1.0
+        write_table(data, changed)
+        capsys.readouterr()
+        assert main(["recalibrate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, run_config)
+        assert trained_on in err and cli._data_digest(load_csv(data)) in err
+    # a run directory without the record cannot vouch for its data either
+    write_table(data, values)
+    stored = json.loads(run_config.read_text())
+    del stored[cli.DIGEST_KEY]
+    run_config.write_text(json.dumps(stored))
+    assert main(["recalibrate", "--out", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err, trained_on)
+
+
+def test_out_of_memory_exits_1_naming_the_run(tmp_path, capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (20000, 20000)")
+
+    monkeypatch.setattr(softsort, "_exponentials", no_memory)
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"n_splits": 1, "epochs": 1, "lambdas": [0.0, 20.0]})
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: split 0, lam=20: Unable to allocate 2.98 GiB for an array with " \
+                  "shape (20000, 20000)\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oracles import reference_load_csv, synth_hetero_truth
+from oracles import assert_same_bits, reference_load_csv, synth_hetero_truth
 from quantcal.datasets import (
     Dataset,
     SplitSpec,
+    Standardization,
     descriptor_names,
     load_csv,
     load_descriptor,
@@ -258,6 +260,45 @@ def test_standardize_drops_constant_columns():
     assert np.array_equal(tf.kept_columns, [1])
     z, _ = tf.apply(f, np.zeros(10))
     assert z.shape == (10, 1)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.just(d)), elements=ANY_FLOAT),
+    st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True),
+    hnp.arrays(np.float64, d, elements=ANY_FLOAT),
+    hnp.arrays(np.float64, d, elements=ANY_FLOAT),
+    ANY_FLOAT, ANY_FLOAT,
+)))
+def test_apply_in_place_gives_the_bits_of_the_expression(case):
+    features, kept, mean, std, t_mean, t_std = case
+    kept = np.array(kept)
+    targets = features[:, 0].copy()
+    tf = Standardization(mean[kept], std[kept], t_mean, t_std, kept)
+    before = features.copy()
+    with np.errstate(all="ignore"):
+        z, t = tf.apply(features, targets)
+        assert_same_bits(z, (features[:, kept] - mean[kept]) / std[kept])
+        assert_same_bits(t, (targets - t_mean) / t_std)
+    assert_same_bits(features, before)
+    assert_same_bits(targets, before[:, 0])
+
+
+def test_standardize_peak_stays_near_its_output():
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.normal(size=(20000, 10)), rng.normal(size=20000))
+    tracemalloc.start()
+    try:
+        standardize(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the standardized features and targets; a full-size temporary beside
+    # them, as (f - mean) / std made two of, breaks the bound
+    assert peak < 1.25 * ds.features.nbytes
 
 
 def test_standardize_rejects_constant_target():

@@ -204,6 +204,10 @@ def test_ndtr_equals_scipy_at_branch_edges():
     # 1 (erfc's own erf branch or exp) and 8 (P/Q or R/S)
     v = ulp_neighbours([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)])
     assert_same_bits(ndtr(v), scipy_ndtr(v))
+    # one entry at a time, so one branch has a single entry and the rest none
+    for i in range(len(v)):
+        assert_same_bits(ndtr(v[i : i + 1]), scipy_ndtr(v[i : i + 1]))
+    assert ndtr(np.empty(0)).shape == (0,)
 
 
 def test_ndtr_equals_scipy_on_a_dense_grid():

@@ -480,26 +480,29 @@ def mc_dropout_peak(n):
 
 def block_arrays(n, blocks, outputs):
     """The bytes of `blocks` (rows, 128) float64 arrays, rows the widest row
-    block of n, plus `outputs` (10, n) float64 arrays: 10 passes' means."""
-    rows = min(n, models._PREDICT_BLOCK_ROWS)
-    return 8 * (blocks * rows * HIDDEN_WIDTH + outputs * 10 * n)
+    block of n, plus `outputs` (10, rows) float64 arrays, a block's 10
+    passes' means, plus three (n,) float64 arrays: the mean, the sigma and
+    its floored copy."""
+    rows = max(rows.stop - rows.start for rows in models._row_blocks(n))
+    return 8 * (blocks * rows * HIDDEN_WIDTH + outputs * 10 * rows + 3 * n)
 
 
 def test_mc_dropout_predict_keeps_no_graph():
-    # one block: layer 1's output, the masked input and layer 2's output,
-    # beside the (passes, n) means and sigmas; aggregation adds one scratch
-    # copy of them once layer 1's buffer is gone
-    assert mc_dropout_peak(2000) < block_arrays(2000, 3.25, 2.25)
+    # one block: layer 1's and layer 2's outputs and a chunk's mask (here a
+    # quarter block), beside the block's passes' means and sigmas and the
+    # mixture's scratch copy of them
+    assert mc_dropout_peak(2000) < block_arrays(2000, 2.5, 3.25)
 
 
 def test_mc_dropout_predict_masks_stay_block_sized():
-    # the same bound at 2 and 8 blocks: nothing but the outputs spans n rows,
-    # so at 8 blocks the peak is below one (n, 128) array
+    # the same bound at 2 and 8 blocks: nothing but the (n,) outputs spans n
+    # rows, so at 8 blocks the peak is below one (n, 128) array; three block
+    # arrays and (passes, n) outputs, as once kept, break it
     for blocks in (2, 8):
         n = blocks * models._PREDICT_BLOCK_ROWS
         assert len(models._row_blocks(n)) == blocks
         peak = mc_dropout_peak(n)
-        assert peak < block_arrays(n, 3.25, 2.25)
+        assert peak < block_arrays(n, 2.5, 3.25)
     assert peak < n * HIDDEN_WIDTH * 8
 
 
@@ -542,16 +545,39 @@ def test_mc_dropout_predict_in_row_blocks_equals_tape_chain_bitwise():
         assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
 
 
+@pytest.mark.parametrize("d", [1, 3, 10])
+@pytest.mark.parametrize("n", [513, 1025, 4097, 8193, 9146])
+def test_mc_dropout_predict_in_mask_chunks_equals_tape_chain_bitwise(n, d):
+    # 513, 1025 and 4097 rows, and 8193's second block of 4097, would leave a
+    # 1-row chunk if layer 2 were cut every 512 rows: numpy sends a 1-row
+    # matmul to gemv, which rounds differently from the all-rows gemm; at
+    # these seeds every such case then changes an output
+    rng = np.random.default_rng(d)
+    params = random_params(rng, d)
+    x = rng.normal(size=(n, d))
+    frozen = MlpParams(*map(nd.constant, params.arrays()))
+    mask_rng = np.random.default_rng(d)
+    preds = []
+    for _ in range(2):
+        mu, sigma = chain_mlp_forward(frozen, x, zero_one_masks(mask_rng, n, 0.25), 0.25)
+        preds.append(GaussianPrediction(mu.value, sigma.value))
+    want = aggregate_ensemble(preds)
+    got = mc_dropout_predict(params, x, passes=2, dropout_rate=0.25, seed=d)
+    assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
+
+
 def test_row_blocks_are_even_and_never_one_row():
-    block = models._PREDICT_BLOCK_ROWS
-    for n in (0, 1, 2, block, block + 1, 3 * block, 3 * block + 1, 10 * block - 1):
-        sizes = [rows.stop - rows.start for rows in models._row_blocks(n)]
-        assert sum(sizes) == n and max(sizes) <= block
-        assert max(sizes) - min(sizes) <= 1
-        assert len(sizes) == max(1, -(-n // block))
-        assert n < 2 or min(sizes) >= 2
-        # a multi-block n keeps every block off the head's small-matrix path
-        assert len(sizes) == 1 or min(sizes) >= block // 2
+    for size in (models._PREDICT_BLOCK_ROWS, models._MASK_CHUNK_ROWS):
+        for n in (0, 1, 2, size, size + 1, 3 * size, 3 * size + 1, 10 * size - 1, 4573, 8192):
+            sizes = [rows.stop - rows.start for rows in models._row_blocks(n, size)]
+            assert sum(sizes) == n and max(sizes) <= size
+            assert max(sizes) - min(sizes) <= 1
+            assert len(sizes) == max(1, -(-n // size))
+            assert n < 2 or min(sizes) >= 2
+            # a multi-block n keeps every block off the head's small-matrix
+            # path, and every chunk of layer 2 off gemv
+            assert len(sizes) == 1 or min(sizes) >= size // 2
+    assert models._row_blocks(513, models._MASK_CHUNK_ROWS) == [slice(0, 256), slice(256, 513)]
 
 
 def nll_input_grad(params, x, y):
