@@ -31,7 +31,8 @@ def _observed_levels(pits, bins):
     pits = np.asarray(pits, dtype=np.float64)
     if pits.ndim != 1 or pits.shape[0] == 0:
         raise ValueError("expected a nonempty 1-d array of PIT values")
-    if np.any(pits < 0.0) or np.any(pits > 1.0):
+    # a NaN fails both comparisons, so only this form rejects it
+    if not np.all((pits >= 0.0) & (pits <= 1.0)):
         raise ValueError("PIT values must lie in [0, 1]")
     expected = np.arange(1, bins + 1) / bins
     observed = np.searchsorted(np.sort(pits), expected, side="right") / pits.shape[0]
@@ -81,11 +82,19 @@ def _average_ranks(v):
 
 
 def spearman(a, b):
-    """Spearman's rank correlation of two paired, NaN-free 1-d samples:
+    """Spearman's rank correlation of two paired, finite 1-d samples:
     Pearson's correlation of their average ranks, NaN when either sample is
-    constant. This is scipy.stats.spearmanr's statistic, bit for bit."""
+    constant. This is scipy.stats.spearmanr's statistic, bit for bit. Empty,
+    unequal-length or non-finite samples raise a ValueError."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape or a.size == 0:
+        raise ValueError(
+            f"spearman: expected two nonempty 1-d samples of one length, "
+            f"got {a.shape} and {b.shape}"
+        )
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("spearman: samples must be finite")
     if np.all(a == a[0]) or np.all(b == b[0]):
         return float("nan")
     ranks = np.column_stack((_average_ranks(a), _average_ranks(b)))

@@ -12,16 +12,18 @@ Training minimizes mean NLL plus an optional uniformity penalty on the
 batch PIT values (`ckl.total_loss`), optimized with Adam. On the tape the
 network is one fused op plus one node per head column (`mlp_forward`);
 inference (`predict`, `mc_dropout_predict`) runs the same expressions in
-numpy with no tape, in row blocks of at most 8192 rows (at least 4096 when
-there are several), so its memory is set by the block size, not by n: two
-(block rows, 128) arrays, a block's layer-1 and layer-2 outputs, and its
-(passes, block rows) means and sigmas, which are combined per block into
-the (n,) outputs. MC dropout computes a block's first layer once and runs
-each pass's second layer in even chunks of at most 512 rows, replaying the
-chunk's mask draws from the seed's stream with `PCG64.advance`, so every
-row gets the bits of an all-rows pass; `aggregate_mc` mixes each block's
-passes, and its axis-0 means add pass by pass per column, as one all-rows
-call does.
+numpy with no tape, in the most even row blocks of at least 3907 rows
+(`_HEAD_MIN_ROWS`), so fewer than 7814 rows each, and its memory is set by
+the block size, not by n: two (block rows, 128) arrays, a block's layer-1
+and layer-2 outputs, and its (passes, block rows) means and sigmas, which
+are combined per block into the (n,) outputs. The floor keeps it bit for
+bit: below it, the (rows, 128) @ (128, 2) head takes OpenBLAS's
+small-matrix path, which rounds differently from the all-rows product. MC
+dropout computes a block's first layer once and runs each pass's second
+layer in even chunks of at most 512 rows, replaying the chunk's mask draws
+from the seed's stream with `PCG64.advance`, so every row gets the bits of
+an all-rows pass; `aggregate_mc` mixes each block's passes, and its axis-0
+means add pass by pass per column, as one all-rows call does.
 """
 
 from __future__ import annotations
@@ -40,8 +42,12 @@ from .ndgrad import Node
 from .softsort import SoftSortConfig
 
 HIDDEN_WIDTH = 128
-# the most rows in one block of inference: 8 MiB per (rows, 128) array
-_PREDICT_BLOCK_ROWS = 8192
+# OpenBLAS runs a gemm with M * N * K at most this on its small-matrix path,
+# which rounds differently from the blocked path of larger products
+_SMALL_GEMM_MAX = 10**6
+# the fewest rows in one block of inference, so the (rows, 128) @ (128, 2)
+# head of every block takes the blocked path, as an all-rows head does
+_HEAD_MIN_ROWS = _SMALL_GEMM_MAX // (2 * HIDDEN_WIDTH) + 1
 # the most rows in one chunk of an MC-dropout pass's layer 2: 512 KiB of masks
 _MASK_CHUNK_ROWS = 512
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -249,17 +255,23 @@ def predict(params, x):
                       lambda mus, sigmas: GaussianPrediction(mus[0], sigmas[0]))
 
 
-def _row_blocks(n, size=_PREDICT_BLOCK_ROWS):
-    """Slices that cut n rows into the fewest blocks of at most `size`, as
-    even as possible, so every block of a multi-block n has at least size / 2
-    rows. A block's rows then round as they do in the all-rows products: at
-    the default size, the (rows, 128) @ (128, 2) head takes OpenBLAS's
-    small-matrix path, which rounds differently, only while
-    rows * 128 * 2 <= 1e6, below 3907 rows; at `_MASK_CHUNK_ROWS`, no chunk
-    of layer 2 is a single row, which numpy would send to gemv."""
-    k = max(1, -(-n // size))
+def _even_slices(n, k):
+    """Slices that cut n rows into k blocks as even as possible."""
     edges = [n * i // k for i in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _row_blocks(n):
+    """The most even blocks of at least `_HEAD_MIN_ROWS` rows, so fewer than
+    twice that each; an n below the floor is one block. Every block's rows
+    then round as they do in the all-rows products."""
+    return _even_slices(n, max(1, n // _HEAD_MIN_ROWS))
+
+
+def _mask_chunks(n):
+    """The fewest even chunks of at most `_MASK_CHUNK_ROWS` rows, so no chunk
+    of a multi-chunk n is a single row, which numpy would send to gemv."""
+    return _even_slices(n, max(1, -(-n // _MASK_CHUNK_ROWS)))
 
 
 def _blockwise(params, x, passes, layer2, combine):
@@ -452,7 +464,7 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
         return _keep_mask(rng, keep, out)
 
     def layer2(h1, rows, p, out):
-        for chunk in _row_blocks(len(h1), _MASK_CHUNK_ROWS):
+        for chunk in _mask_chunks(len(h1)):
             first_row = rows.start + chunk.start
             a = mask(p, 0, first_row, scratch[: chunk.stop - chunk.start])
             a *= h1[chunk]

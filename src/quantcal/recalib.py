@@ -106,7 +106,7 @@ def fit_calibration_map(preds, y):
 def apply_map(cal_map, p):
     """Evaluate the map at probabilities p (scalar or array) in [0, 1]."""
     arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN included
         raise ValueError("apply_map: probabilities must lie in [0, 1]")
     out = np.interp(arr, cal_map.knots_p, cal_map.knots_r)
     return float(out) if np.isscalar(p) else out

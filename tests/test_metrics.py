@@ -69,6 +69,17 @@ def test_pit_validation():
         calibration_error(np.ones((2, 2)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=20), st.data())
+def test_a_nan_pit_anywhere_is_rejected(pits, data):
+    # every comparison with NaN is False, so a check for values below 0 or
+    # above 1 lets it through to a finite, wrong score
+    pits.insert(data.draw(st.integers(0, len(pits))), float("nan"))
+    for metric in (calibration_error, reliability_curve):
+        with pytest.raises(ValueError, match="lie in"):
+            metric(np.array(pits))
+
+
 def test_rmse_oracle():
     pred = GaussianPrediction(np.array([1.0, 2.0, 3.0]), np.ones(3))
     y = np.array([1.0, 1.0, 5.0])
@@ -147,3 +158,14 @@ def test_spearman_equals_scipy(a, b):
 def test_spearman_equals_scipy_on_tied_and_untied_samples(pair):
     a, b = (np.array(side, dtype=np.float64) for side in pair)
     assert_same_bits(spearman(a, b), scipy_spearman(a, b))
+
+
+@pytest.mark.parametrize("a, b, match", [
+    ([], [], "nonempty"),
+    ([1.0, 2.0, 3.0], [1.0, 2.0], "one length"),
+    ([1.0, 2.0, np.nan], [1.0, 2.0, 3.0], "finite"),  # scipy gives NaN, not 1.0
+    ([1.0, 2.0, 3.0], [np.inf, 2.0, 1.0], "finite"),
+])
+def test_spearman_rejects_empty_unequal_or_non_finite_samples(a, b, match):
+    with pytest.raises(ValueError, match=f"spearman: .*{match}"):
+        spearman(a, b)

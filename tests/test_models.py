@@ -480,34 +480,44 @@ def mc_dropout_peak(n):
 
 def block_arrays(n, blocks, outputs):
     """The bytes of `blocks` (rows, 128) float64 arrays, rows the widest row
-    block of n, plus `outputs` (10, rows) float64 arrays, a block's 10
-    passes' means, plus three (n,) float64 arrays: the mean, the sigma and
-    its floored copy."""
-    rows = max(rows.stop - rows.start for rows in models._row_blocks(n))
+    block of n under the block rule (the most even blocks of at least
+    `_HEAD_MIN_ROWS` rows), plus `outputs` (10, rows) float64 arrays, a
+    block's 10 passes' means, plus three (n,) float64 arrays: the mean, the
+    sigma and its floored copy."""
+    rows = -(-n // max(1, n // models._HEAD_MIN_ROWS))
     return 8 * (blocks * rows * HIDDEN_WIDTH + outputs * 10 * rows + 3 * n)
 
 
 def test_mc_dropout_predict_keeps_no_graph():
-    # one block: layer 1's and layer 2's outputs and a chunk's mask (here a
-    # quarter block), beside the block's passes' means and sigmas and the
-    # mixture's scratch copy of them
-    assert mc_dropout_peak(2000) < block_arrays(2000, 2.5, 3.25)
+    # one block, up to the widest one: layer 1's and layer 2's outputs and a
+    # chunk's mask (at most a quarter block), beside the block's passes'
+    # means and sigmas and the mixture's scratch copy of them
+    for n in (2000, 2 * models._HEAD_MIN_ROWS - 1):
+        assert len(models._row_blocks(n)) == 1
+        assert mc_dropout_peak(n) < block_arrays(n, 2.5, 3.25)
 
 
 def test_mc_dropout_predict_masks_stay_block_sized():
-    # the same bound at 2 and 8 blocks: nothing but the (n,) outputs spans n
-    # rows, so at 8 blocks the peak is below one (n, 128) array; three block
-    # arrays and (passes, n) outputs, as once kept, break it
+    # the same bound at 2 and 8 blocks of exactly the floor: nothing but the
+    # (n,) outputs spans n rows, so at 8 blocks the peak is below one
+    # (n, 128) array; blocks of up to 8192 rows, three block arrays or
+    # (passes, n) outputs, as once kept, break it
     for blocks in (2, 8):
-        n = blocks * models._PREDICT_BLOCK_ROWS
+        n = blocks * models._HEAD_MIN_ROWS
         assert len(models._row_blocks(n)) == blocks
         peak = mc_dropout_peak(n)
         assert peak < block_arrays(n, 2.5, 3.25)
     assert peak < n * HIDDEN_WIDTH * 8
 
 
-@pytest.mark.parametrize("n", [8193, 9146, 16385, 36584])
+def test_head_min_rows_is_the_first_head_past_openblas_small_gemm_path():
+    floor = models._HEAD_MIN_ROWS
+    assert (floor - 1) * 2 * HIDDEN_WIDTH <= 10**6 < floor * 2 * HIDDEN_WIDTH
+
+
+@pytest.mark.parametrize("n", [7814, 8193, 9146, 11721, 16385, 36584])
 def test_head_gives_each_row_block_the_all_rows_bits(n):
+    # 7814 and 11721 rows make blocks of exactly the floor, 3907 rows
     rng = np.random.default_rng(n)
     params = random_params(rng, 3)
     h2 = np.maximum(rng.normal(size=(n, HIDDEN_WIDTH)), 0.0)
@@ -523,11 +533,11 @@ def test_head_gives_each_row_block_the_all_rows_bits(n):
 
 
 def test_mc_dropout_predict_in_row_blocks_equals_tape_chain_bitwise():
-    # 2 * block + 1 rows make three blocks of 5461 or 5462; block + 954 rows,
-    # not a multiple of the block size, make two of 4573; the chain takes
-    # all rows at once
-    for n, d, passes, rate in [(2 * models._PREDICT_BLOCK_ROWS + 1, 3, 2, 0.25),
-                               (models._PREDICT_BLOCK_ROWS + 954, 2, 3, 0.4)]:
+    # 7814 rows make two blocks of exactly the floor, 3907 rows, where d = 2
+    # also puts layer 1 just past the small-matrix path (3907 * 128 * 2 >
+    # 1e6); 16385 rows make four blocks of 4096 or 4097, and 9146 rows two of
+    # 4573; the chain takes all rows at once
+    for n, d, passes, rate in [(7814, 2, 2, 0.25), (16385, 3, 2, 0.25), (9146, 2, 3, 0.4)]:
         rng = np.random.default_rng(n)
         params = random_params(rng, d)
         x = rng.normal(size=(n, d))
@@ -567,17 +577,24 @@ def test_mc_dropout_predict_in_mask_chunks_equals_tape_chain_bitwise(n, d):
 
 
 def test_row_blocks_are_even_and_never_one_row():
-    for size in (models._PREDICT_BLOCK_ROWS, models._MASK_CHUNK_ROWS):
-        for n in (0, 1, 2, size, size + 1, 3 * size, 3 * size + 1, 10 * size - 1, 4573, 8192):
-            sizes = [rows.stop - rows.start for rows in models._row_blocks(n, size)]
-            assert sum(sizes) == n and max(sizes) <= size
-            assert max(sizes) - min(sizes) <= 1
-            assert len(sizes) == max(1, -(-n // size))
-            assert n < 2 or min(sizes) >= 2
-            # a multi-block n keeps every block off the head's small-matrix
-            # path, and every chunk of layer 2 off gemv
-            assert len(sizes) == 1 or min(sizes) >= size // 2
-    assert models._row_blocks(513, models._MASK_CHUNK_ROWS) == [slice(0, 256), slice(256, 513)]
+    floor, chunk = models._HEAD_MIN_ROWS, models._MASK_CHUNK_ROWS
+    for n in (0, 1, 2, floor - 1, floor, 2 * floor - 1, 2 * floor, 3 * floor - 1, 8192, 9146,
+              36584, 10 * floor + 7):
+        sizes = [rows.stop - rows.start for rows in models._row_blocks(n)]
+        assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+        assert len(sizes) == max(1, n // floor)
+        # a multi-block n keeps every block off the head's small-matrix path
+        assert len(sizes) == 1 or floor <= min(sizes) <= max(sizes) < 2 * floor
+    for n in (0, 1, 2, chunk, chunk + 1, 3 * chunk, 3 * chunk + 1, 10 * chunk - 1, 4573, 8192):
+        sizes = [rows.stop - rows.start for rows in models._mask_chunks(n)]
+        assert sum(sizes) == n and max(sizes) <= chunk
+        assert max(sizes) - min(sizes) <= 1
+        assert len(sizes) == max(1, -(-n // chunk))
+        # and no chunk of layer 2 is one row, which numpy would send to gemv
+        assert n < 2 or min(sizes) >= 2
+        assert len(sizes) == 1 or min(sizes) >= chunk // 2
+    assert models._row_blocks(7814) == [slice(0, 3907), slice(3907, 7814)]
+    assert models._mask_chunks(513) == [slice(0, 256), slice(256, 513)]
 
 
 def nll_input_grad(params, x, y):

@@ -139,6 +139,17 @@ def test_apply_map_interpolates_and_pins_endpoints():
         apply_map(cal, 1.5)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=20), st.data())
+def test_apply_map_rejects_a_nan_anywhere(p, data):
+    cal = CalibrationMap(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 1.0]))
+    p.insert(data.draw(st.integers(0, len(p))), float("nan"))
+    with pytest.raises(ValueError, match="lie in"):
+        apply_map(cal, np.array(p))
+    with pytest.raises(ValueError, match="lie in"):
+        apply_map(cal, float("nan"))
+
+
 def test_fit_on_identity_data_is_near_identity():
     rng = np.random.default_rng(2)
     y = rng.normal(size=500)
