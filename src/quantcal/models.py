@@ -12,18 +12,25 @@ Training minimizes mean NLL plus an optional uniformity penalty on the
 batch PIT values (`ckl.total_loss`), optimized with Adam. On the tape the
 network is one fused op plus one node per head column (`mlp_forward`);
 inference (`predict`, `mc_dropout_predict`) runs the same expressions in
-numpy with no tape, in the most even row blocks of at least 3907 rows
-(`_HEAD_MIN_ROWS`), so fewer than 7814 rows each, and its memory is set by
-the block size, not by n: two (block rows, 128) arrays, a block's layer-1
-and layer-2 outputs, and its (passes, block rows) means and sigmas, which
-are combined per block into the (n,) outputs. The floor keeps it bit for
-bit: below it, the (rows, 128) @ (128, 2) head takes OpenBLAS's
-small-matrix path, which rounds differently from the all-rows product. MC
-dropout computes a block's first layer once and runs each pass's second
-layer in even chunks of at most 512 rows, replaying the chunk's mask draws
-from the seed's stream with `PCG64.advance`, so every row gets the bits of
-an all-rows pass; `aggregate_mc` mixes each block's passes, and its axis-0
-means add pass by pass per column, as one all-rows call does.
+numpy with no tape, one row block at a time, and its memory is set by the
+head's rounding floor, not by n. The (rows, 128) @ (128, 2) head takes
+OpenBLAS's small-matrix path below 3907 rows (`_HEAD_MIN_ROWS`), which
+rounds differently from the blocked path of an all-rows product. Layers 1
+and 2 showed no such split on the OpenBLAS build this was measured on: past
+one row they rounded as on all rows, layer 1 even where a block takes the
+small-matrix path and all rows do not (d < 20 at 391 rows), which the
+tests check for d 1-19. So past the floor, passes are cut into groups
+whose layer-2 outputs over a small row block stack at least 3907 rows, and
+the head runs once per group on the stack (`_blocks_and_groups`): a
+block's layer-1 output (a few hundred rows at 10 passes), the stack, and
+the block's (passes, block rows) means and sigmas, combined per block into
+the (n,) outputs, are all the scratch. Below the
+floor, n rows are one block and the head runs once per pass, as on all
+rows. MC dropout computes a block's first layer once and runs each pass's
+second layer in even chunks of at most 512 rows, replaying the chunk's mask
+draws from the seed's stream with `PCG64.advance`, so every row gets the
+bits of an all-rows pass; `aggregate_mc` mixes each block's passes, and its
+axis-0 means add pass by pass per column, as one all-rows call does.
 """
 
 from __future__ import annotations
@@ -50,6 +57,11 @@ _SMALL_GEMM_MAX = 10**6
 _HEAD_MIN_ROWS = _SMALL_GEMM_MAX // (2 * HIDDEN_WIDTH) + 1
 # the most rows in one chunk of an MC-dropout pass's layer 2: 512 KiB of masks
 _MASK_CHUNK_ROWS = 512
+# the fewest rows in one block of inference past the head's floor: the
+# block of 10 passes, `mc_dropout_predict`'s default (391 rows). It binds only
+# past 10 passes, where ceil(3907 / passes) rows would cut each pass's layer
+# 2 into more, smaller calls, each with its own fixed cost
+_MIN_BLOCK_ROWS = -(-_HEAD_MIN_ROWS // 10)
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 _MAGIC = b"QCMP"
@@ -261,11 +273,25 @@ def _even_slices(n, k):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _row_blocks(n):
-    """The most even blocks of at least `_HEAD_MIN_ROWS` rows, so fewer than
-    twice that each; an n below the floor is one block. Every block's rows
-    then round as they do in the all-rows products."""
-    return _even_slices(n, max(1, n // _HEAD_MIN_ROWS))
+def _widest(parts):
+    """The most rows, or passes, in one of the slices `parts`."""
+    return max(part.stop - part.start for part in parts)
+
+
+def _blocks_and_groups(n, passes):
+    """The row blocks and pass groups of `passes` passes over n rows. At
+    n >= `_HEAD_MIN_ROWS`, blocks are the most even blocks of at least
+    `_MIN_BLOCK_ROWS` rows and of at least `_HEAD_MIN_ROWS / passes`, and
+    passes are cut evenly into groups of at least `_HEAD_MIN_ROWS / smallest
+    block`, so every group's passes over a block stack at least
+    `_HEAD_MIN_ROWS` rows for the head and round as the all-rows products
+    do. Below the floor the all-rows head takes the small-matrix path, so n
+    is one block and each pass its own group."""
+    if n < _HEAD_MIN_ROWS:
+        return [slice(0, n)], _even_slices(passes, passes)
+    blocks = _even_slices(n, n // max(_MIN_BLOCK_ROWS, -(-_HEAD_MIN_ROWS // passes)))
+    group = -(-_HEAD_MIN_ROWS // (n // len(blocks)))
+    return blocks, _even_slices(passes, passes // group)
 
 
 def _mask_chunks(n):
@@ -276,16 +302,18 @@ def _mask_chunks(n):
 
 def _blockwise(params, x, passes, layer2, combine):
     """The prediction `combine` makes of `passes` passes over the rows of
-    `x`, one row block at a time: layer 1 runs once per block, then pass p
-    takes the block's layer-2 activation from `layer2(h1, rows, p, out)`,
-    written into `out`, and runs the head on it. `combine` turns the block's
-    (passes, block rows) means and sigmas into its GaussianPrediction. Two
-    (block rows, 128) arrays, h1 and h2, and the block's passes are all the
-    scratch; only the (n,) outputs span all rows."""
+    `x`, one row block at a time (`_blocks_and_groups`): layer 1 runs once
+    per block, then pass p of a group writes the block's layer-2 activation
+    into its rows of the group's stack, `layer2(h1, rows, p, out)`, and the
+    head runs once on the stack. `combine` turns the block's (passes, block
+    rows) means and sigmas into its GaussianPrediction. A (block rows, 128)
+    h1, a (stacked rows, 128) h2 and the block's passes are all the scratch;
+    only the (n,) outputs span all rows."""
     x = _check_input(x, params.w1.value)
-    blocks = _row_blocks(len(x))
-    width = max(rows.stop - rows.start for rows in blocks)
-    h1_rows, h2_rows = np.empty((2, width, HIDDEN_WIDTH))
+    blocks, groups = _blocks_and_groups(len(x), passes)
+    width = _widest(blocks)
+    stack = _widest(groups) * width
+    h1_rows, h2_rows = np.empty((width, HIDDEN_WIDTH)), np.empty((stack, HIDDEN_WIDTH))
     mus_rows, sigmas_rows = np.empty((2, passes * width))
     mu = np.empty(len(x))
     sigma = np.empty_like(mu)
@@ -295,8 +323,12 @@ def _blockwise(params, x, passes, layer2, combine):
         # contiguous (passes, m) views, so the mixture's axis-0 sums run as on all rows
         mus = mus_rows[: passes * m].reshape(passes, m)
         sigmas = sigmas_rows[: passes * m].reshape(passes, m)
-        for p in range(passes):
-            mus[p], sigmas[p] = _head(layer2(h1, rows, p, h2_rows[:m]), params)
+        for group in groups:
+            k = group.stop - group.start
+            h2 = h2_rows[: k * m]
+            for j in range(k):
+                layer2(h1, rows, group.start + j, h2[j * m : (j + 1) * m])
+            mus[group], sigmas[group] = (a.reshape(k, m) for a in _head(h2, params))
         block = combine(mus, sigmas)
         mu[rows], sigma[rows] = block.mu, block.sigma
     return GaussianPrediction(mu, sigma)
@@ -433,8 +465,9 @@ def train(dataset, cfg, adv_eps=None, loss_history=None):
 
 def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     """Aggregate `passes` stochastic forward passes into one Gaussian, off
-    the tape, one row block at a time (`_blockwise`), each block's passes
-    mixed by `aggregate_mc`. The masks are those of passes drawn in the order
+    the tape, one row block at a time (`_blockwise`), the head run once per
+    group of passes over the block, and each block's passes mixed by
+    `aggregate_mc`. The masks are those of passes drawn in the order
     `_dropout_masks` draws them: pass by pass, layer 1's keep decisions for
     all n rows, then layer 2's. `Generator.random` takes one PCG64 output per
     double, so layer 2 runs in even chunks of at most `_MASK_CHUNK_ROWS` rows
@@ -453,8 +486,12 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     start = rng.bit_generator.state
     keep = 1.0 - dropout_rate
     w2, b2 = params.w2.value, params.b2.value
-    # a chunk's masked layer-2 input, then its layer-2 output's mask
-    scratch = np.empty((min(n, _MASK_CHUNK_ROWS), HIDDEN_WIDTH))
+    # a chunk's masked layer-2 input, then its layer-2 output's mask, as many
+    # rows as the widest chunk of any block (a block one row narrower can
+    # have wider chunks: 2048 rows make four of 512, 2049 five of 410)
+    blocks = _blocks_and_groups(n, passes)[0]
+    scratch = np.empty((max(_widest(_mask_chunks(b.stop - b.start)) for b in blocks),
+                        HIDDEN_WIDTH))
 
     def mask(p, layer, first_row, out):
         """The keep-scaled mask of `layer` in pass p for len(out) rows from

@@ -398,6 +398,22 @@ def test_load_from_descriptor_checks_shape(tmp_path):
         load_from_descriptor(desc, data_dir=tmp_path)
 
 
+@pytest.mark.parametrize("name, columns, features", [("year_msd", 91, 90), ("protein", 11, 10)])
+def test_descriptor_features_match_their_csv_layout_without_a_warning(
+    tmp_path, name, columns, features
+):
+    # UCI's YearPredictionMSD is the year and 90 attributes; the protein CSV
+    # the benchmark writes is 10 features and the target
+    desc = {**load_descriptor(name), "expected_rows": 3}
+    table = np.random.default_rng(columns).normal(size=(3, columns))
+    write_csv(tmp_path / desc["filename"],
+              "".join(",".join(map(str, row.tolist())) + "\n" for row in table))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_from_descriptor(desc, data_dir=tmp_path)
+    assert ds.n_features == desc["expected_features"] == features
+
+
 def test_load_descriptor_from_path(tmp_path):
     desc_path = tmp_path / "custom.json"
     desc_path.write_text(json.dumps({"name": "c", "filename": "c.csv", "source": "x"}))

@@ -478,36 +478,43 @@ def mc_dropout_peak(n):
     return peak
 
 
-def block_arrays(n, blocks, outputs):
-    """The bytes of `blocks` (rows, 128) float64 arrays, rows the widest row
-    block of n under the block rule (the most even blocks of at least
-    `_HEAD_MIN_ROWS` rows), plus `outputs` (10, rows) float64 arrays, a
-    block's 10 passes' means, plus three (n,) float64 arrays: the mean, the
-    sigma and its floored copy."""
-    rows = -(-n // max(1, n // models._HEAD_MIN_ROWS))
-    return 8 * (blocks * rows * HIDDEN_WIDTH + outputs * 10 * rows + 3 * n)
+def block_arrays(n, blocks, stacks, outputs):
+    """The bytes of `blocks` (rows, 128) and `stacks` (stacked rows, 128)
+    float64 arrays, rows the widest row block of n for 10 passes and stacked
+    rows the most rows a group of those passes stacks over it, plus
+    `outputs` (10, rows) float64 arrays, a block's 10 passes' means, plus
+    the widest mask chunk of any block and three (n,) float64 arrays: the
+    mean, the sigma and its floored copy."""
+    row_blocks, groups = models._blocks_and_groups(n, 10)
+    rows = models._widest(row_blocks)
+    stacked = rows * models._widest(groups)
+    chunk = max(models._widest(models._mask_chunks(b.stop - b.start)) for b in row_blocks)
+    return 8 * ((blocks * rows + stacks * stacked + chunk) * HIDDEN_WIDTH
+                + outputs * 10 * rows + 3 * n)
 
 
 def test_mc_dropout_predict_keeps_no_graph():
-    # one block, up to the widest one: layer 1's and layer 2's outputs and a
-    # chunk's mask (at most a quarter block), beside the block's passes'
-    # means and sigmas and the mixture's scratch copy of them
-    for n in (2000, 2 * models._HEAD_MIN_ROWS - 1):
-        assert len(models._row_blocks(n)) == 1
-        assert mc_dropout_peak(n) < block_arrays(n, 2.5, 3.25)
+    # below the head's floor: one block, each pass its own group, so layer
+    # 1's and layer 2's outputs and a chunk's mask, beside the block's passes'
+    # means and sigmas and the mixture's scratch copy of them; at 2000 rows
+    # (chunks of 500) the bound is 5.59 MB, under the 5.69 MB of 2.5 (2000,
+    # 128) arrays beside the same outputs
+    for n in (2000, models._HEAD_MIN_ROWS - 1):
+        assert models._blocks_and_groups(n, 10) == ([slice(0, n)], models._even_slices(10, 10))
+        assert mc_dropout_peak(n) < block_arrays(n, 1.2, 1, 3.25)
 
 
 def test_mc_dropout_predict_masks_stay_block_sized():
-    # the same bound at 2 and 8 blocks of exactly the floor: nothing but the
-    # (n,) outputs spans n rows, so at 8 blocks the peak is below one
-    # (n, 128) array; blocks of up to 8192 rows, three block arrays or
-    # (passes, n) outputs, as once kept, break it
-    for blocks in (2, 8):
-        n = blocks * models._HEAD_MIN_ROWS
-        assert len(models._row_blocks(n)) == blocks
+    # past the floor: h1 of a small block, the head's stack of a group's
+    # passes over it (about `_HEAD_MIN_ROWS` rows) and a mask chunk; nothing
+    # but the (n,) outputs spans n rows, and at 36584 rows the peak is below
+    # 6 MiB, where one layer-2 output per pass over blocks of at least the
+    # floor, as once kept, took 10.2 MiB; 7813 rows were once the widest block
+    for n in (models._HEAD_MIN_ROWS, 2 * models._HEAD_MIN_ROWS - 1, 2 * models._HEAD_MIN_ROWS,
+              9146, 36584):
         peak = mc_dropout_peak(n)
-        assert peak < block_arrays(n, 2.5, 3.25)
-    assert peak < n * HIDDEN_WIDTH * 8
+        assert peak < block_arrays(n, 1.2, 1.1, 3.25)
+    assert peak < 6 * 2**20
 
 
 def test_head_min_rows_is_the_first_head_past_openblas_small_gemm_path():
@@ -517,27 +524,68 @@ def test_head_min_rows_is_the_first_head_past_openblas_small_gemm_path():
 
 @pytest.mark.parametrize("n", [7814, 8193, 9146, 11721, 16385, 36584])
 def test_head_gives_each_row_block_the_all_rows_bits(n):
-    # 7814 and 11721 rows make blocks of exactly the floor, 3907 rows
+    # the head runs once on a group of passes' layer-2 outputs over a row
+    # block, stacked; 7814 and 11721 rows make 1-pass blocks of exactly the
+    # floor, 3907 rows
     rng = np.random.default_rng(n)
     params = random_params(rng, 3)
-    h2 = np.maximum(rng.normal(size=(n, HIDDEN_WIDTH)), 0.0)
-    full_mu, full_sigma = models._head(h2, params)
-    for rows in models._row_blocks(n):
-        mu, sigma = models._head(h2[rows], params)
-        assert mu.tobytes() == full_mu[rows].tobytes(), (
-            f"the head rounds rows {rows.start}:{rows.stop} of {n} differently from the "
-            "all-rows product; OpenBLAS takes its small-matrix gemm path when "
-            "M*N*K <= 1e6 (below 3907 rows here), so row blocks must stay above that"
-        )
-        assert sigma.tobytes() == full_sigma[rows].tobytes()
+    base = rng.normal(size=(n, HIDDEN_WIDTH))
+
+    def layer2(p, rows):
+        return np.maximum(base[rows] - 0.1 * p, 0.0)
+
+    for passes in (1, 2, 10, 30):
+        full = [models._head(layer2(p, slice(None)), params) for p in range(passes)]
+        blocks, groups = models._blocks_and_groups(n, passes)
+        for rows in blocks:
+            for group in groups:
+                group_passes = range(group.start, group.stop)
+                stack = np.concatenate([layer2(p, rows) for p in group_passes])
+                mu, sigma = models._head(stack, params)
+                want_mu, want_sigma = (np.concatenate([full[p][i][rows] for p in group_passes])
+                                       for i in (0, 1))
+                assert mu.tobytes() == want_mu.tobytes(), (
+                    f"the head rounds passes {group.start}:{group.stop} over rows "
+                    f"{rows.start}:{rows.stop} of {n} differently from the all-rows product; "
+                    "OpenBLAS takes its small-matrix gemm path when M*N*K <= 1e6 (below 3907 "
+                    "rows here), so a group's stacked rows must stay above that"
+                )
+                assert sigma.tobytes() == want_sigma.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 20))
+def test_layer1_gives_each_row_block_the_all_rows_bits(d):
+    # at 10 passes or more, 9146 rows make blocks of 397 or 398 rows, which
+    # put layer 1's (rows, d) @ (d, 128) on OpenBLAS's small-matrix path for
+    # every d < 20 (fewer passes' wider blocks, for smaller d), where all rows
+    # take the blocked path; the standardized features `cli` passes are F-ordered
+    rng = np.random.default_rng(d)
+    params = random_params(rng, d)
+    w1, b1 = params.w1.value, params.b1.value
+    x = rng.normal(size=(9146, d))
+    for layout in (x, np.asfortranarray(x)):
+        full = models._hidden(layout, w1, b1)
+        for passes in (2, 3, 5, 10, 30):
+            for rows in models._blocks_and_groups(len(x), passes)[0]:
+                assert models._hidden(layout[rows], w1, b1).tobytes() == full[rows].tobytes(), (
+                    f"layer 1 rounds rows {rows.start}:{rows.stop} of {len(x)} at d = {d} "
+                    "differently from the all-rows product; OpenBLAS takes its small-matrix "
+                    "gemm path when M*N*K <= 1e6, so at this d a block must stay above "
+                    f"{10**6 // (HIDDEN_WIDTH * d)} rows"
+                )
 
 
 def test_mc_dropout_predict_in_row_blocks_equals_tape_chain_bitwise():
-    # 7814 rows make two blocks of exactly the floor, 3907 rows, where d = 2
-    # also puts layer 1 just past the small-matrix path (3907 * 128 * 2 >
-    # 1e6); 16385 rows make four blocks of 4096 or 4097, and 9146 rows two of
-    # 4573; the chain takes all rows at once
-    for n, d, passes, rate in [(7814, 2, 2, 0.25), (16385, 3, 2, 0.25), (9146, 2, 3, 0.4)]:
+    # the chain takes all rows at once. 7814 rows make `predict` two blocks
+    # of exactly the floor, 3907 rows, where d = 2 also puts layer 1 just past
+    # the small-matrix path (3907 * 128 * 2 > 1e6); 3907 rows with 2 passes
+    # are one block and two groups, where blocks of 1953 and 1954 rows would
+    # stack 3906, below the floor; 3906 rows with 10 passes stack nothing;
+    # 16385 rows with 2 passes make eight blocks of 2048 or 2049, 9146 rows
+    # with 3 passes seven of 1306 or 1307, each stacking all its passes, and
+    # 4000 rows with 30 passes ten of 400, in three groups of 10 passes
+    for n, d, passes, rate in [(7814, 2, 2, 0.25), (3907, 2, 2, 0.25), (3906, 3, 10, 0.25),
+                               (16385, 3, 2, 0.25), (9146, 2, 3, 0.4), (4000, 5, 30, 0.25)]:
         rng = np.random.default_rng(n)
         params = random_params(rng, d)
         x = rng.normal(size=(n, d))
@@ -578,13 +626,29 @@ def test_mc_dropout_predict_in_mask_chunks_equals_tape_chain_bitwise(n, d):
 
 def test_row_blocks_are_even_and_never_one_row():
     floor, chunk = models._HEAD_MIN_ROWS, models._MASK_CHUNK_ROWS
-    for n in (0, 1, 2, floor - 1, floor, 2 * floor - 1, 2 * floor, 3 * floor - 1, 8192, 9146,
-              36584, 10 * floor + 7):
-        sizes = [rows.stop - rows.start for rows in models._row_blocks(n)]
-        assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
-        assert len(sizes) == max(1, n // floor)
-        # a multi-block n keeps every block off the head's small-matrix path
-        assert len(sizes) == 1 or floor <= min(sizes) <= max(sizes) < 2 * floor
+    for n in (0, 1, 2, floor - 1, floor, floor + 1, 2 * floor - 1, 2 * floor, 3 * floor - 1,
+              8192, 9146, 36584, 10 * floor + 7):
+        for passes in (1, 2, 3, 7, 10, 11, 30, 100):
+            blocks, groups = models._blocks_and_groups(n, passes)
+            sizes = [rows.stop - rows.start for rows in blocks]
+            counts = [group.stop - group.start for group in groups]
+            for parts, total in ((blocks, n), (groups, passes)):
+                assert [part.start for part in parts[1:]] == [part.stop for part in parts[:-1]]
+                assert parts[0].start == 0 and parts[-1].stop == total
+            assert max(sizes) - min(sizes) <= 1 and max(counts) - min(counts) <= 1
+            if n < floor:
+                # the all-rows head takes the small-matrix path: nothing stacks
+                assert sizes == [n] and counts == [1] * passes
+                continue
+            # every group's passes over every block stack rows past the floor
+            assert min(counts) * min(sizes) >= floor
+            # the most even blocks of at least `_MIN_BLOCK_ROWS` (391) and
+            # floor / passes rows, so never of one row
+            least = max(models._MIN_BLOCK_ROWS, -(-floor // passes))
+            assert min(sizes) >= least and len(sizes) == n // least
+            if passes == 1:
+                # `predict` keeps blocks of at least the floor, so fewer than twice it
+                assert floor <= min(sizes) <= max(sizes) < 2 * floor
     for n in (0, 1, 2, chunk, chunk + 1, 3 * chunk, 3 * chunk + 1, 10 * chunk - 1, 4573, 8192):
         sizes = [rows.stop - rows.start for rows in models._mask_chunks(n)]
         assert sum(sizes) == n and max(sizes) <= chunk
@@ -593,7 +657,15 @@ def test_row_blocks_are_even_and_never_one_row():
         # and no chunk of layer 2 is one row, which numpy would send to gemv
         assert n < 2 or min(sizes) >= 2
         assert len(sizes) == 1 or min(sizes) >= chunk // 2
-    assert models._row_blocks(7814) == [slice(0, 3907), slice(3907, 7814)]
+    assert models._blocks_and_groups(7814, 1) == ([slice(0, 3907), slice(3907, 7814)],
+                                                  [slice(0, 1)])
+    assert models._blocks_and_groups(3907, 2) == ([slice(0, 3907)], [slice(0, 1), slice(1, 2)])
+    blocks, groups = models._blocks_and_groups(9146, 10)
+    assert len(blocks) == 23 and groups == [slice(0, 10)]
+    # past 10 passes, the 10-pass blocks in groups of 10 passes
+    for passes in (11, 30, 100):
+        assert models._blocks_and_groups(9146, passes)[0] == blocks
+    assert models._blocks_and_groups(36584, 30)[1] == models._even_slices(30, 3)
     assert models._mask_chunks(513) == [slice(0, 256), slice(256, 513)]
 
 
