@@ -12,25 +12,23 @@ Training minimizes mean NLL plus an optional uniformity penalty on the
 batch PIT values (`ckl.total_loss`), optimized with Adam. On the tape the
 network is one fused op plus one node per head column (`mlp_forward`);
 inference (`predict`, `mc_dropout_predict`) runs the same expressions in
-numpy with no tape, one row block at a time, and its memory is set by the
-head's rounding floor, not by n. The (rows, 128) @ (128, 2) head takes
-OpenBLAS's small-matrix path below 3907 rows (`_HEAD_MIN_ROWS`), which
-rounds differently from the blocked path of an all-rows product. Layers 1
-and 2 showed no such split on the OpenBLAS build this was measured on: past
-one row they rounded as on all rows, layer 1 even where a block takes the
-small-matrix path and all rows do not (d < 20 at 391 rows), which the
-tests check for d 1-19. So past the floor, passes are cut into groups
-whose layer-2 outputs over a small row block stack at least 3907 rows, and
-the head runs once per group on the stack (`_blocks_and_groups`): a
-block's layer-1 output (a few hundred rows at 10 passes), the stack, and
-the block's (passes, block rows) means and sigmas, combined per block into
-the (n,) outputs, are all the scratch. Below the
-floor, n rows are one block and the head runs once per pass, as on all
-rows. MC dropout computes a block's first layer once and runs each pass's
-second layer in even chunks of at most 512 rows, replaying the chunk's mask
-draws from the seed's stream with `PCG64.advance`, so every row gets the
-bits of an all-rows pass; `aggregate_mc` mixes each block's passes, and its
-axis-0 means add pass by pass per column, as one all-rows call does.
+numpy with no tape, in the fewest row blocks of at most 512 rows with inner
+bounds at multiples of 4 rows (`_row_blocks`), so its scratch is a few
+(512, 128) arrays at any n and any number of passes. Every row gets the bits
+of an all-rows pass. The (rows, 128) @ (128, 2) head takes OpenBLAS's
+small-matrix path up to 3906 rows (`_HEAD_MIN_ROWS`), which rounds
+differently from the blocked path of larger products: from 3907 rows on,
+each block's head multiplies by w3 padded with zero columns until its
+product leaves the small-matrix path and keeps columns 0 and 1; below, all
+rows and every block take the small-matrix path, on which a block from a
+4-row bound rounds as all rows do. Layers 1 and 2 showed no such split on
+the OpenBLAS build this was measured on, layer 1 even where a block takes
+the small-matrix path and all rows do not (d <= 15 at 512 rows), which the
+tests check for d 1-19. Each block runs layer 1 once, then for each pass
+layer 2, its two masks replayed from the seed's stream with
+`PCG64.advance`, and the head; `aggregate_mc` mixes each block's passes,
+and its axis-0 means add pass by pass per column, as one all-rows call
+does.
 """
 
 from __future__ import annotations
@@ -52,16 +50,11 @@ HIDDEN_WIDTH = 128
 # OpenBLAS runs a gemm with M * N * K at most this on its small-matrix path,
 # which rounds differently from the blocked path of larger products
 _SMALL_GEMM_MAX = 10**6
-# the fewest rows in one block of inference, so the (rows, 128) @ (128, 2)
-# head of every block takes the blocked path, as an all-rows head does
+# the fewest rows at which the all-rows (rows, 128) @ (128, 2) head takes
+# the blocked path
 _HEAD_MIN_ROWS = _SMALL_GEMM_MAX // (2 * HIDDEN_WIDTH) + 1
-# the most rows in one chunk of an MC-dropout pass's layer 2: 512 KiB of masks
-_MASK_CHUNK_ROWS = 512
-# the fewest rows in one block of inference past the head's floor: the
-# block of 10 passes, `mc_dropout_predict`'s default (391 rows). It binds only
-# past 10 passes, where ceil(3907 / passes) rows would cut each pass's layer
-# 2 into more, smaller calls, each with its own fixed cost
-_MIN_BLOCK_ROWS = -(-_HEAD_MIN_ROWS // 10)
+# the most rows in one block of inference: 512 KiB per (rows, 128) array
+_BLOCK_ROWS = 512
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 _MAGIC = b"QCMP"
@@ -254,9 +247,10 @@ def mlp_forward(params, x, dropout_masks=None):
     return mu, sigma
 
 
-def _head(h2, params):
-    """The (mu, sigma) head on a layer-2 activation, off the tape."""
-    out = _affine(h2, params.w3.value, params.b3.value)
+def _head(h2, w3, b3, out=None):
+    """The (mu, sigma) head on a layer-2 activation, off the tape: the first
+    two columns of h2 @ w3 + b3, written into `out` if one is given."""
+    out = _affine(h2, w3, b3, out)
     return out[:, 0], _sigma(out[:, 1])
 
 
@@ -267,71 +261,64 @@ def predict(params, x):
                       lambda mus, sigmas: GaussianPrediction(mus[0], sigmas[0]))
 
 
-def _even_slices(n, k):
-    """Slices that cut n rows into k blocks as even as possible."""
-    edges = [n * i // k for i in range(k + 1)]
+def _row_blocks(n):
+    """The fewest blocks of at most `_BLOCK_ROWS` rows that cover n rows, as
+    even as inner bounds at multiples of 4 rows allow. On OpenBLAS's
+    small-matrix path a block from a bound off that grid rounds differently
+    from all rows; and no block of n >= 2 rows is one row, which numpy would
+    send to gemv."""
+    quads = -(-n // 4)
+    k = max(1, -(-quads // (_BLOCK_ROWS // 4)))
+    edges = [4 * (quads * i // k) for i in range(k)] + [n]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _widest(parts):
-    """The most rows, or passes, in one of the slices `parts`."""
-    return max(part.stop - part.start for part in parts)
-
-
-def _blocks_and_groups(n, passes):
-    """The row blocks and pass groups of `passes` passes over n rows. At
-    n >= `_HEAD_MIN_ROWS`, blocks are the most even blocks of at least
-    `_MIN_BLOCK_ROWS` rows and of at least `_HEAD_MIN_ROWS / passes`, and
-    passes are cut evenly into groups of at least `_HEAD_MIN_ROWS / smallest
-    block`, so every group's passes over a block stack at least
-    `_HEAD_MIN_ROWS` rows for the head and round as the all-rows products
-    do. Below the floor the all-rows head takes the small-matrix path, so n
-    is one block and each pass its own group."""
+def _head_weights(params, blocks, n):
+    """w3 and b3 as the head of every row block takes them. From
+    `_HEAD_MIN_ROWS` rows on, the all-rows head takes OpenBLAS's blocked
+    path, so both get zero columns until the smallest block's product passes
+    the small-matrix bound; each block's first two columns then round as the
+    all-rows product does. Below that, all rows and every block take the
+    small-matrix path with the plain w3."""
+    w3, b3 = params.w3.value, params.b3.value
     if n < _HEAD_MIN_ROWS:
-        return [slice(0, n)], _even_slices(passes, passes)
-    blocks = _even_slices(n, n // max(_MIN_BLOCK_ROWS, -(-_HEAD_MIN_ROWS // passes)))
-    group = -(-_HEAD_MIN_ROWS // (n // len(blocks)))
-    return blocks, _even_slices(passes, passes // group)
-
-
-def _mask_chunks(n):
-    """The fewest even chunks of at most `_MASK_CHUNK_ROWS` rows, so no chunk
-    of a multi-chunk n is a single row, which numpy would send to gemv."""
-    return _even_slices(n, max(1, -(-n // _MASK_CHUNK_ROWS)))
+        return w3, b3
+    smallest = min(rows.stop - rows.start for rows in blocks)
+    pad = _SMALL_GEMM_MAX // (smallest * HIDDEN_WIDTH) + 1 - w3.shape[1]
+    return np.pad(w3, ((0, 0), (0, pad))), np.pad(b3, (0, pad))
 
 
 def _blockwise(params, x, passes, layer2, combine):
     """The prediction `combine` makes of `passes` passes over the rows of
-    `x`, one row block at a time (`_blocks_and_groups`): layer 1 runs once
-    per block, then pass p of a group writes the block's layer-2 activation
-    into its rows of the group's stack, `layer2(h1, rows, p, out)`, and the
-    head runs once on the stack. `combine` turns the block's (passes, block
-    rows) means and sigmas into its GaussianPrediction. A (block rows, 128)
-    h1, a (stacked rows, 128) h2 and the block's passes are all the scratch;
-    only the (n,) outputs span all rows."""
+    `x`, one row block at a time (`_row_blocks`): layer 1 runs once per
+    block, then pass p writes the block's layer-2 activation into `out`,
+    `layer2(h1, rows, p, out)`, and the head runs on it (`_head_weights`).
+    `combine` turns the block's (passes, block rows) means and sigmas into
+    its GaussianPrediction. Block-sized h1, h2 and head outputs are all the
+    scratch; only the (n,) outputs span all rows."""
     x = _check_input(x, params.w1.value)
-    blocks, groups = _blocks_and_groups(len(x), passes)
-    width = _widest(blocks)
-    stack = _widest(groups) * width
-    h1_rows, h2_rows = np.empty((width, HIDDEN_WIDTH)), np.empty((stack, HIDDEN_WIDTH))
+    n = len(x)
+    blocks = _row_blocks(n)
+    w3, b3 = _head_weights(params, blocks, n)
+    # filled in place from each block's checked and floored prediction, so
+    # no (n,) copy is made for a final check and floor
+    pred = GaussianPrediction(np.zeros(n), np.ones(n))
+    width = min(n, _BLOCK_ROWS)
+    h1_rows, h2_rows = np.empty((2, width, HIDDEN_WIDTH))
+    head_rows = np.empty((width, w3.shape[1]))
     mus_rows, sigmas_rows = np.empty((2, passes * width))
-    mu = np.empty(len(x))
-    sigma = np.empty_like(mu)
     for rows in blocks:
         m = rows.stop - rows.start
         h1 = _hidden(x[rows], params.w1.value, params.b1.value, out=h1_rows[:m])
         # contiguous (passes, m) views, so the mixture's axis-0 sums run as on all rows
         mus = mus_rows[: passes * m].reshape(passes, m)
         sigmas = sigmas_rows[: passes * m].reshape(passes, m)
-        for group in groups:
-            k = group.stop - group.start
-            h2 = h2_rows[: k * m]
-            for j in range(k):
-                layer2(h1, rows, group.start + j, h2[j * m : (j + 1) * m])
-            mus[group], sigmas[group] = (a.reshape(k, m) for a in _head(h2, params))
+        for p in range(passes):
+            h2 = layer2(h1, rows, p, h2_rows[:m])
+            mus[p], sigmas[p] = _head(h2, w3, b3, head_rows[:m])
         block = combine(mus, sigmas)
-        mu[rows], sigma[rows] = block.mu, block.sigma
-    return GaussianPrediction(mu, sigma)
+        pred.mu[rows], pred.sigma[rows] = block.mu, block.sigma
+    return pred
 
 
 @dataclass
@@ -465,15 +452,13 @@ def train(dataset, cfg, adv_eps=None, loss_history=None):
 
 def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     """Aggregate `passes` stochastic forward passes into one Gaussian, off
-    the tape, one row block at a time (`_blockwise`), the head run once per
-    group of passes over the block, and each block's passes mixed by
-    `aggregate_mc`. The masks are those of passes drawn in the order
+    the tape, one row block at a time (`_blockwise`), each block's passes
+    mixed by `aggregate_mc`. The masks are those of passes drawn in the order
     `_dropout_masks` draws them: pass by pass, layer 1's keep decisions for
     all n rows, then layer 2's. `Generator.random` takes one PCG64 output per
-    double, so layer 2 runs in even chunks of at most `_MASK_CHUNK_ROWS` rows
-    of a block, and a chunk's mask for layer L of pass p is drawn from the
-    seed's state advanced by ((2p + L) n + first row) * 128 outputs; each
-    pass gives every row the bits of an all-rows pass."""
+    double, so a block's mask for layer L of pass p is drawn from the seed's
+    state advanced by ((2p + L) n + first row) * 128 outputs; each pass gives
+    every row the bits of an all-rows pass."""
     if passes < 1:
         raise ValueError(f"mc_dropout_predict: passes must be positive, got {passes}")
     if not 0.0 < dropout_rate < 1.0:
@@ -486,28 +471,21 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     start = rng.bit_generator.state
     keep = 1.0 - dropout_rate
     w2, b2 = params.w2.value, params.b2.value
-    # a chunk's masked layer-2 input, then its layer-2 output's mask, as many
-    # rows as the widest chunk of any block (a block one row narrower can
-    # have wider chunks: 2048 rows make four of 512, 2049 five of 410)
-    blocks = _blocks_and_groups(n, passes)[0]
-    scratch = np.empty((max(_widest(_mask_chunks(b.stop - b.start)) for b in blocks),
-                        HIDDEN_WIDTH))
+    # a block's masked layer-2 input, then its layer-2 output's mask
+    scratch = np.empty((min(n, _BLOCK_ROWS), HIDDEN_WIDTH))
 
-    def mask(p, layer, first_row, out):
-        """The keep-scaled mask of `layer` in pass p for len(out) rows from
-        `first_row`, into `out`."""
+    def mask(p, layer, rows):
+        """The keep-scaled mask of `layer` in pass p for the rows `rows`."""
         rng.bit_generator.state = start
-        rng.bit_generator.advance(((2 * p + layer) * n + first_row) * HIDDEN_WIDTH)
-        return _keep_mask(rng, keep, out)
+        rng.bit_generator.advance(((2 * p + layer) * n + rows.start) * HIDDEN_WIDTH)
+        return _keep_mask(rng, keep, scratch[: rows.stop - rows.start])
 
     def layer2(h1, rows, p, out):
-        for chunk in _mask_chunks(len(h1)):
-            first_row = rows.start + chunk.start
-            a = mask(p, 0, first_row, scratch[: chunk.stop - chunk.start])
-            a *= h1[chunk]
-            h2 = _hidden(a, w2, b2, out=out[chunk])
-            h2 *= mask(p, 1, first_row, a)
-        return out
+        a = mask(p, 0, rows)
+        a *= h1
+        h2 = _hidden(a, w2, b2, out=out)
+        h2 *= mask(p, 1, rows)
+        return h2
 
     return _blockwise(params, x, passes, layer2, aggregate_mc)
 

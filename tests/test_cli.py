@@ -623,6 +623,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "quantcal.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0
     assert "quantcal" in proc.stdout

@@ -164,6 +164,24 @@ def assert_same_bytes(got, want):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def assert_inference_equals_chain(params, x, passes, rate, seed):
+    """`predict` and `mc_dropout_predict` give the tape chain's all-rows
+    bits."""
+    n = len(x)
+    frozen = MlpParams(*map(nd.constant, params.arrays()))
+    mu, sigma = chain_mlp_forward(frozen, x)
+    got = predict(params, x)
+    assert_same_bytes([got.mu, got.sigma], [mu.value, sigma.value])
+    mask_rng = np.random.default_rng(seed)
+    preds = []
+    for _ in range(passes):
+        mu, sigma = chain_mlp_forward(frozen, x, zero_one_masks(mask_rng, n, rate), rate)
+        preds.append(GaussianPrediction(mu.value, sigma.value))
+    want = aggregate_ensemble(preds)
+    got = mc_dropout_predict(params, x, passes=passes, dropout_rate=rate, seed=seed)
+    assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
@@ -293,21 +311,8 @@ def test_mlp_forward_builds_three_nodes():
 )
 def test_inference_equals_tape_chain_bitwise(seed, n, d, passes, rate):
     rng = np.random.default_rng(seed)
-    params = random_params(rng, d)
-    x = rng.normal(size=(n, d))
-    frozen = MlpParams(*map(nd.constant, params.arrays()))
-    mu, sigma = chain_mlp_forward(frozen, x)
-    want = GaussianPrediction(mu.value, sigma.value)
-    got = predict(params, x)
-    assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
-    mask_rng = np.random.default_rng(seed)
-    preds = []
-    for _ in range(passes):
-        mu, sigma = chain_mlp_forward(frozen, x, zero_one_masks(mask_rng, n, rate), rate)
-        preds.append(GaussianPrediction(mu.value, sigma.value))
-    want = aggregate_ensemble(preds)
-    got = mc_dropout_predict(params, x, passes=passes, dropout_rate=rate, seed=seed)
-    assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
+    assert_inference_equals_chain(random_params(rng, d), rng.normal(size=(n, d)),
+                                  passes, rate, seed)
 
 
 def test_full_loss_gradients():
@@ -464,57 +469,57 @@ def test_mc_dropout_validation():
         mlp_forward(params, np.ones((2, 2)), masks)
 
 
-def mc_dropout_peak(n):
-    """Traced peak bytes of a 10-pass `mc_dropout_predict` on n rows."""
+def traced_peak(forward, n, **kwargs):
+    """Traced peak bytes of `forward(params, x, **kwargs)` on n rows of 3
+    features."""
     rng = np.random.default_rng(0)
     params = init_mlp(3, rng)
     x = rng.normal(size=(n, 3))
     tracemalloc.start()
     try:
-        mc_dropout_predict(params, x, passes=10)
+        forward(params, x, **kwargs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return peak
 
 
-def block_arrays(n, blocks, stacks, outputs):
-    """The bytes of `blocks` (rows, 128) and `stacks` (stacked rows, 128)
-    float64 arrays, rows the widest row block of n for 10 passes and stacked
-    rows the most rows a group of those passes stacks over it, plus
-    `outputs` (10, rows) float64 arrays, a block's 10 passes' means, plus
-    the widest mask chunk of any block and three (n,) float64 arrays: the
-    mean, the sigma and its floored copy."""
-    row_blocks, groups = models._blocks_and_groups(n, 10)
-    rows = models._widest(row_blocks)
-    stacked = rows * models._widest(groups)
-    chunk = max(models._widest(models._mask_chunks(b.stop - b.start)) for b in row_blocks)
-    return 8 * ((blocks * rows + stacks * stacked + chunk) * HIDDEN_WIDTH
-                + outputs * 10 * rows + 3 * n)
+def block_scratch(n, passes, arrays):
+    """The bytes of `arrays` (512, 128) float64 arrays, of four (passes, 512)
+    ones (a block's passes' means and sigmas and the mixture's scratch copy,
+    with room for its temporaries) and of the (n,) mean and sigma."""
+    rows = models._BLOCK_ROWS
+    return 8 * (arrays * rows * HIDDEN_WIDTH + 4 * passes * rows + 2 * n)
 
 
 def test_mc_dropout_predict_keeps_no_graph():
-    # below the head's floor: one block, each pass its own group, so layer
-    # 1's and layer 2's outputs and a chunk's mask, beside the block's passes'
-    # means and sigmas and the mixture's scratch copy of them; at 2000 rows
-    # (chunks of 500) the bound is 5.59 MB, under the 5.69 MB of 2.5 (2000,
-    # 128) arrays beside the same outputs
-    for n in (2000, models._HEAD_MIN_ROWS - 1):
-        assert models._blocks_and_groups(n, 10) == ([slice(0, n)], models._even_slices(10, 10))
-        assert mc_dropout_peak(n) < block_arrays(n, 1.2, 1, 3.25)
+    # below the head's floor too: layer 1's and layer 2's outputs of one
+    # block and its masks, and half an array for the head's output and the
+    # finite checks' bool arrays, beside the (n,) outputs
+    for n in (1, 513, 2000, models._HEAD_MIN_ROWS - 1):
+        assert traced_peak(mc_dropout_predict, n, passes=10) < block_scratch(n, 10, 3.5)
 
 
 def test_mc_dropout_predict_masks_stay_block_sized():
-    # past the floor: h1 of a small block, the head's stack of a group's
-    # passes over it (about `_HEAD_MIN_ROWS` rows) and a mask chunk; nothing
-    # but the (n,) outputs spans n rows, and at 36584 rows the peak is below
-    # 6 MiB, where one layer-2 output per pass over blocks of at least the
-    # floor, as once kept, took 10.2 MiB; 7813 rows were once the widest block
-    for n in (models._HEAD_MIN_ROWS, 2 * models._HEAD_MIN_ROWS - 1, 2 * models._HEAD_MIN_ROWS,
-              9146, 36584):
-        peak = mc_dropout_peak(n)
-        assert peak < block_arrays(n, 1.2, 1.1, 3.25)
-    assert peak < 6 * 2**20
+    # nothing but the (n,) outputs grows with n, and nothing but a block's
+    # passes' means and sigmas with the passes; a stack of passes' layer-2
+    # outputs to the head's floor, as once kept, took 5.0 MiB at 9146 rows
+    # and 10 passes
+    for n in (models._HEAD_MIN_ROWS, 9146, 36584):
+        for passes in (1, 10, 30):
+            peak = traced_peak(mc_dropout_predict, n, passes=passes)
+            assert peak < block_scratch(n, passes, 3.5), (n, passes, peak)
+            if passes == 10 and n > models._HEAD_MIN_ROWS:
+                assert peak <= 2.5 * 2**20, (n, peak)
+
+
+def test_predict_scratch_stays_block_sized():
+    # one pass and no masks: h1 and h2 of a block, once whole blocks of
+    # 3907 to 7813 rows (9.1 MiB traced at 36584 rows)
+    for n in (1, 2000, models._HEAD_MIN_ROWS, 9146, 36584):
+        peak = traced_peak(predict, n)
+        assert peak < block_scratch(n, 1, 2.5), (n, peak)
+    assert peak <= 2 * 2**20
 
 
 def test_head_min_rows_is_the_first_head_past_openblas_small_gemm_path():
@@ -522,94 +527,100 @@ def test_head_min_rows_is_the_first_head_past_openblas_small_gemm_path():
     assert (floor - 1) * 2 * HIDDEN_WIDTH <= 10**6 < floor * 2 * HIDDEN_WIDTH
 
 
-@pytest.mark.parametrize("n", [7814, 8193, 9146, 11721, 16385, 36584])
+@pytest.mark.parametrize("n", [3907, 7814, 8193, 9146, 11721, 16385, 36584])
 def test_head_gives_each_row_block_the_all_rows_bits(n):
-    # the head runs once on a group of passes' layer-2 outputs over a row
-    # block, stacked; 7814 and 11721 rows make 1-pass blocks of exactly the
-    # floor, 3907 rows
+    # from the floor on the all-rows head takes the blocked path and a block
+    # of at most 512 rows the small-matrix path, unless w3 is padded with
+    # zero columns until the block's product leaves it: each block of n's
+    # row blocks, padded for the smallest, and blocks of 2 to 512 rows at
+    # any start, each padded for itself
     rng = np.random.default_rng(n)
     params = random_params(rng, 3)
-    base = rng.normal(size=(n, HIDDEN_WIDTH))
-
-    def layer2(p, rows):
-        return np.maximum(base[rows] - 0.1 * p, 0.0)
-
-    for passes in (1, 2, 10, 30):
-        full = [models._head(layer2(p, slice(None)), params) for p in range(passes)]
-        blocks, groups = models._blocks_and_groups(n, passes)
-        for rows in blocks:
-            for group in groups:
-                group_passes = range(group.start, group.stop)
-                stack = np.concatenate([layer2(p, rows) for p in group_passes])
-                mu, sigma = models._head(stack, params)
-                want_mu, want_sigma = (np.concatenate([full[p][i][rows] for p in group_passes])
-                                       for i in (0, 1))
-                assert mu.tobytes() == want_mu.tobytes(), (
-                    f"the head rounds passes {group.start}:{group.stop} over rows "
-                    f"{rows.start}:{rows.stop} of {n} differently from the all-rows product; "
-                    "OpenBLAS takes its small-matrix gemm path when M*N*K <= 1e6 (below 3907 "
-                    "rows here), so a group's stacked rows must stay above that"
+    h2 = np.maximum(rng.normal(size=(n, HIDDEN_WIDTH)), 0.0)
+    full = models._head(h2, params.w3.value, params.b3.value)
+    blocks = models._row_blocks(n)
+    single = [slice(start, start + m) for m in (2, 3, 5, 64, 255, 509, 512)
+              for start in (0, 1, 7, n - m)]
+    for layout in [blocks] + [[rows] for rows in single]:
+        w3, b3 = models._head_weights(params, layout, n)
+        for rows in layout:
+            got = models._head(h2[rows], w3, b3)
+            for i in (0, 1):
+                assert got[i].tobytes() == full[i][rows].tobytes(), (
+                    f"the head padded to {w3.shape[1]} columns rounds rows "
+                    f"{rows.start}:{rows.stop} of {n} differently from the all-rows "
+                    "product; OpenBLAS takes its small-matrix gemm path when M*N*K <= 1e6 "
+                    "and its blocked path past it, and the padding rests on the blocked "
+                    "path giving the first two columns the same bits at any M and N"
                 )
-                assert sigma.tobytes() == want_sigma.tobytes()
+
+
+def test_head_below_the_floor_gives_4_row_blocks_the_all_rows_bits():
+    # below the floor all rows and every block take the small-matrix path,
+    # on which a block from an inner bound off the 4-row grid rounded
+    # differently from all rows
+    floor = models._HEAD_MIN_ROWS
+    sizes = [2, 3, 4, 5, 7, 9, 511, 512, 513, 514, 515, 516, 1025, 2049, floor - 1]
+    sizes += [int(n) for n in np.random.default_rng(0).integers(2, floor, 20)]
+    for n in sizes:
+        rng = np.random.default_rng(n)
+        params = random_params(rng, 3)
+        h2 = np.maximum(rng.normal(size=(n, HIDDEN_WIDTH)), 0.0)
+        blocks = models._row_blocks(n)
+        w3, b3 = models._head_weights(params, blocks, n)
+        assert w3 is params.w3.value
+        full = models._head(h2, w3, b3)
+        for rows in blocks:
+            got = models._head(h2[rows], w3, b3)
+            for i in (0, 1):
+                assert got[i].tobytes() == full[i][rows].tobytes(), (
+                    f"the head rounds rows {rows.start}:{rows.stop} of {n} differently from "
+                    "the all-rows product; both take OpenBLAS's small-matrix gemm path "
+                    "(M*N*K <= 1e6), and blocks must start at multiples of 4 rows to match it"
+                )
 
 
 @pytest.mark.parametrize("d", range(1, 20))
 def test_layer1_gives_each_row_block_the_all_rows_bits(d):
-    # at 10 passes or more, 9146 rows make blocks of 397 or 398 rows, which
-    # put layer 1's (rows, d) @ (d, 128) on OpenBLAS's small-matrix path for
-    # every d < 20 (fewer passes' wider blocks, for smaller d), where all rows
-    # take the blocked path; the standardized features `cli` passes are F-ordered
+    # 9146 rows make blocks of 508 or 510 rows, which put layer 1's
+    # (rows, d) @ (d, 128) on OpenBLAS's small-matrix path for every d <= 15,
+    # where all rows take the blocked path; the standardized features `cli`
+    # passes are F-ordered
     rng = np.random.default_rng(d)
     params = random_params(rng, d)
     w1, b1 = params.w1.value, params.b1.value
     x = rng.normal(size=(9146, d))
     for layout in (x, np.asfortranarray(x)):
         full = models._hidden(layout, w1, b1)
-        for passes in (2, 3, 5, 10, 30):
-            for rows in models._blocks_and_groups(len(x), passes)[0]:
-                assert models._hidden(layout[rows], w1, b1).tobytes() == full[rows].tobytes(), (
-                    f"layer 1 rounds rows {rows.start}:{rows.stop} of {len(x)} at d = {d} "
-                    "differently from the all-rows product; OpenBLAS takes its small-matrix "
-                    "gemm path when M*N*K <= 1e6, so at this d a block must stay above "
-                    f"{10**6 // (HIDDEN_WIDTH * d)} rows"
-                )
+        for rows in models._row_blocks(len(x)):
+            assert models._hidden(layout[rows], w1, b1).tobytes() == full[rows].tobytes(), (
+                f"layer 1 rounds rows {rows.start}:{rows.stop} of {len(x)} at d = {d} "
+                "differently from the all-rows product; OpenBLAS takes its small-matrix "
+                "gemm path when M*N*K <= 1e6, so at this d a block must stay above "
+                f"{10**6 // (HIDDEN_WIDTH * d)} rows"
+            )
 
 
 def test_mc_dropout_predict_in_row_blocks_equals_tape_chain_bitwise():
-    # the chain takes all rows at once. 7814 rows make `predict` two blocks
-    # of exactly the floor, 3907 rows, where d = 2 also puts layer 1 just past
-    # the small-matrix path (3907 * 128 * 2 > 1e6); 3907 rows with 2 passes
-    # are one block and two groups, where blocks of 1953 and 1954 rows would
-    # stack 3906, below the floor; 3906 rows with 10 passes stack nothing;
-    # 16385 rows with 2 passes make eight blocks of 2048 or 2049, 9146 rows
-    # with 3 passes seven of 1306 or 1307, each stacking all its passes, and
-    # 4000 rows with 30 passes ten of 400, in three groups of 10 passes
+    # the chain takes all rows at once. 3907 rows are the first whose head
+    # is padded, in 8 blocks of 488 or 491 rows, and 3906 the last whose
+    # head is not; at 7814 rows d = 2 puts all rows' layer 1 just past the
+    # small-matrix path (3907 * 128 * 2 > 1e6); 16385 rows make 33 blocks,
+    # the last of 497; 4000 rows with 30 passes hold 30 passes' means per block
     for n, d, passes, rate in [(7814, 2, 2, 0.25), (3907, 2, 2, 0.25), (3906, 3, 10, 0.25),
                                (16385, 3, 2, 0.25), (9146, 2, 3, 0.4), (4000, 5, 30, 0.25)]:
         rng = np.random.default_rng(n)
-        params = random_params(rng, d)
-        x = rng.normal(size=(n, d))
-        frozen = MlpParams(*map(nd.constant, params.arrays()))
-        mu, sigma = chain_mlp_forward(frozen, x)
-        got = predict(params, x)
-        assert_same_bytes([got.mu, got.sigma], [mu.value, sigma.value])
-        mask_rng = np.random.default_rng(5)
-        preds = []
-        for _ in range(passes):
-            mu, sigma = chain_mlp_forward(frozen, x, zero_one_masks(mask_rng, n, rate), rate)
-            preds.append(GaussianPrediction(mu.value, sigma.value))
-        want = aggregate_ensemble(preds)
-        got = mc_dropout_predict(params, x, passes=passes, dropout_rate=rate, seed=5)
-        assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
+        assert_inference_equals_chain(random_params(rng, d), rng.normal(size=(n, d)),
+                                      passes, rate, 5)
 
 
 @pytest.mark.parametrize("d", [1, 3, 10])
 @pytest.mark.parametrize("n", [513, 1025, 4097, 8193, 9146])
 def test_mc_dropout_predict_in_mask_chunks_equals_tape_chain_bitwise(n, d):
-    # 513, 1025 and 4097 rows, and 8193's second block of 4097, would leave a
-    # 1-row chunk if layer 2 were cut every 512 rows: numpy sends a 1-row
-    # matmul to gemv, which rounds differently from the all-rows gemm; at
-    # these seeds every such case then changes an output
+    # 513, 1025, 4097 and 8193 rows are one past a multiple of 512: a cut
+    # every 512 rows would leave a 1-row block, which numpy sends to gemv,
+    # rounding differently from the all-rows gemm; 513 rows make blocks of
+    # 256 and 257 rows
     rng = np.random.default_rng(d)
     params = random_params(rng, d)
     x = rng.normal(size=(n, d))
@@ -624,49 +635,43 @@ def test_mc_dropout_predict_in_mask_chunks_equals_tape_chain_bitwise(n, d):
     assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
 
 
+@settings(max_examples=8, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.one_of(st.integers(min_value=509, max_value=1030),
+              st.integers(min_value=3903, max_value=4200)),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=3),
+    st.floats(min_value=0.05, max_value=0.6),
+)
+def test_inference_across_block_edges_equals_tape_chain_bitwise(seed, n, d, passes, rate):
+    # n across the 512-row edge, where one block becomes two, and across the
+    # head's floor, where the head's padding starts
+    rng = np.random.default_rng(seed)
+    assert_inference_equals_chain(random_params(rng, d), rng.normal(size=(n, d)),
+                                  passes, rate, seed)
+
+
 def test_row_blocks_are_even_and_never_one_row():
-    floor, chunk = models._HEAD_MIN_ROWS, models._MASK_CHUNK_ROWS
-    for n in (0, 1, 2, floor - 1, floor, floor + 1, 2 * floor - 1, 2 * floor, 3 * floor - 1,
-              8192, 9146, 36584, 10 * floor + 7):
-        for passes in (1, 2, 3, 7, 10, 11, 30, 100):
-            blocks, groups = models._blocks_and_groups(n, passes)
-            sizes = [rows.stop - rows.start for rows in blocks]
-            counts = [group.stop - group.start for group in groups]
-            for parts, total in ((blocks, n), (groups, passes)):
-                assert [part.start for part in parts[1:]] == [part.stop for part in parts[:-1]]
-                assert parts[0].start == 0 and parts[-1].stop == total
-            assert max(sizes) - min(sizes) <= 1 and max(counts) - min(counts) <= 1
-            if n < floor:
-                # the all-rows head takes the small-matrix path: nothing stacks
-                assert sizes == [n] and counts == [1] * passes
-                continue
-            # every group's passes over every block stack rows past the floor
-            assert min(counts) * min(sizes) >= floor
-            # the most even blocks of at least `_MIN_BLOCK_ROWS` (391) and
-            # floor / passes rows, so never of one row
-            least = max(models._MIN_BLOCK_ROWS, -(-floor // passes))
-            assert min(sizes) >= least and len(sizes) == n // least
-            if passes == 1:
-                # `predict` keeps blocks of at least the floor, so fewer than twice it
-                assert floor <= min(sizes) <= max(sizes) < 2 * floor
-    for n in (0, 1, 2, chunk, chunk + 1, 3 * chunk, 3 * chunk + 1, 10 * chunk - 1, 4573, 8192):
-        sizes = [rows.stop - rows.start for rows in models._mask_chunks(n)]
-        assert sum(sizes) == n and max(sizes) <= chunk
-        assert max(sizes) - min(sizes) <= 1
-        assert len(sizes) == max(1, -(-n // chunk))
-        # and no chunk of layer 2 is one row, which numpy would send to gemv
-        assert n < 2 or min(sizes) >= 2
-        assert len(sizes) == 1 or min(sizes) >= chunk // 2
-    assert models._blocks_and_groups(7814, 1) == ([slice(0, 3907), slice(3907, 7814)],
-                                                  [slice(0, 1)])
-    assert models._blocks_and_groups(3907, 2) == ([slice(0, 3907)], [slice(0, 1), slice(1, 2)])
-    blocks, groups = models._blocks_and_groups(9146, 10)
-    assert len(blocks) == 23 and groups == [slice(0, 10)]
-    # past 10 passes, the 10-pass blocks in groups of 10 passes
-    for passes in (11, 30, 100):
-        assert models._blocks_and_groups(9146, passes)[0] == blocks
-    assert models._blocks_and_groups(36584, 30)[1] == models._even_slices(30, 3)
-    assert models._mask_chunks(513) == [slice(0, 256), slice(256, 513)]
+    most = models._BLOCK_ROWS
+    sizes = [0, 1, 2, 3, 4, 5, most - 1, most, most + 1, most + 2, most + 3, 2 * most,
+             2 * most + 1, 3906, 3907, 4097, 8193, 9146, 36584]
+    sizes += [int(n) for n in np.random.default_rng(0).integers(2, 200_000, 300)]
+    for n in sizes:
+        blocks = models._row_blocks(n)
+        rows = [block.stop - block.start for block in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert [block.start for block in blocks[1:]] == [block.stop for block in blocks[:-1]]
+        # the fewest blocks of at most 512 rows, from bounds on the 4-row grid
+        assert max(rows) <= most and len(blocks) == max(1, -(-n // most))
+        assert all(block.start % 4 == 0 for block in blocks)
+        # as even as that grid allows, and never one row
+        assert max(rows) - min(rows) < 8
+        assert n < 2 or min(rows) >= 2
+        if n <= most:
+            assert blocks == [slice(0, n)]
+    assert models._row_blocks(513) == [slice(0, 256), slice(256, 513)]
+    assert models._row_blocks(9146)[-2:] == [slice(8128, 8636), slice(8636, 9146)]
 
 
 def nll_input_grad(params, x, y):
