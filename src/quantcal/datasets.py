@@ -42,8 +42,16 @@ class Standardization:
     def apply(self, features, targets):
         """The standardized copies of `features` and `targets`: the column
         selection and the target difference are fresh arrays, so the rest
-        runs in place on them, with the bits of (f - mean) / std."""
-        z = np.asarray(features, dtype=np.float64)[:, self.kept_columns]
+        runs in place on them, with the bits of (f - mean) / std. The
+        features must be (n, d) with a column for every kept index."""
+        f = np.asarray(features, dtype=np.float64)
+        width = int(np.max(self.kept_columns, initial=-1)) + 1
+        if f.ndim != 2 or f.shape[1] < width:
+            raise ValueError(
+                f"Standardization.apply: expected (n, d) features with at least {width} "
+                f"columns, got {f.shape}"
+            )
+        z = f[:, self.kept_columns]
         z -= self.feature_mean
         z /= self.feature_std
         t = np.asarray(targets, dtype=np.float64) - self.target_mean

@@ -222,7 +222,8 @@ def aggregate_mc(mus, sigmas):
 
 
 def aggregate_ensemble(preds):
-    """Combine ensemble member predictions into a single Gaussian."""
+    """Combine whole ensemble member predictions into a single Gaussian:
+    the reference for `models.ensemble_predict`, which mixes per row block."""
     if not preds:
         raise ValueError("aggregate: empty prediction list")
     return aggregate_mc(np.stack([p.mu for p in preds]), np.stack([p.sigma for p in preds]))

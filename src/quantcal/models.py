@@ -10,25 +10,26 @@ ReLU activations, sigma = softplus(raw) + SIGMA_FLOOR. On top of it:
 
 Training minimizes mean NLL plus an optional uniformity penalty on the
 batch PIT values (`ckl.total_loss`), optimized with Adam. On the tape the
-network is one fused op plus one node per head column (`mlp_forward`);
-inference (`predict`, `mc_dropout_predict`) runs the same expressions in
-numpy with no tape, in the fewest row blocks of at most 512 rows with inner
-bounds at multiples of 4 rows (`_row_blocks`), so its scratch is a few
-(512, 128) arrays at any n and any number of passes. Every row gets the bits
+network is one fused op plus one node per head column (`mlp_forward`).
+Inference (`predict`, `mc_dropout_predict`, `ensemble_predict`) is one
+numpy loop off the tape, `_blockwise`, mixing passes of a list of
+networks: one pass of one, masked passes of one, or one of each. It
+walks the fewest row blocks of at most 512 rows with inner bounds at
+multiples of 4 rows (`_row_blocks`), so its scratch is a few (512, 128)
+arrays at any n, pass count and ensemble size. Every row gets the bits
 of an all-rows pass. The (rows, 128) @ (128, 2) head takes OpenBLAS's
 small-matrix path up to 3906 rows (`_HEAD_MIN_ROWS`), which rounds
 differently from the blocked path of larger products: from 3907 rows on,
 each block's head multiplies by w3 padded with zero columns until its
-product leaves the small-matrix path and keeps columns 0 and 1; below, all
-rows and every block take the small-matrix path, on which a block from a
-4-row bound rounds as all rows do. Layers 1 and 2 showed no such split on
-the OpenBLAS build this was measured on, layer 1 even where a block takes
-the small-matrix path and all rows do not (d <= 15 at 512 rows), which the
-tests check for d 1-19. Each block runs layer 1 once, then for each pass
-layer 2, its two masks replayed from the seed's stream with
-`PCG64.advance`, and the head; `aggregate_mc` mixes each block's passes,
-and its axis-0 means add pass by pass per column, as one all-rows call
-does.
+product leaves the small-matrix path and keeps columns 0 and 1; below,
+all rows and every block take the small-matrix path, on which a block
+from a 4-row bound rounds as all rows do. Layers 1 and 2 showed no such
+split on the OpenBLAS build this was measured on, layer 1 even where a
+block takes the small-matrix path and all rows do not (d <= 15 at 512
+rows), which the tests check for d 1-19. `aggregate_mc` mixes each
+block's passes; its axis-0 means add pass by pass per column, as one
+all-rows call over the stacked passes does, and the mixture of one pass
+is that pass.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ import numpy as np
 
 from . import ndgrad as nd
 from .ckl import total_loss
-from .gaussian import (SIGMA_FLOOR, GaussianPrediction, aggregate_ensemble, aggregate_mc,
-                       gaussian_nll, libm_exp)
+from .gaussian import SIGMA_FLOOR, GaussianPrediction, aggregate_mc, gaussian_nll, libm_exp
 from .ndgrad import Node
 from .softsort import SoftSortConfig
 
@@ -256,9 +256,7 @@ def _head(h2, w3, b3, out=None):
 
 def predict(params, x):
     """Deterministic single forward pass (no dropout), off the tape."""
-    w2, b2 = params.w2.value, params.b2.value
-    return _blockwise(params, x, 1, lambda h1, rows, p, out: _hidden(h1, w2, b2, out=out),
-                      lambda mus, sigmas: GaussianPrediction(mus[0], sigmas[0]))
+    return _blockwise([params], x)
 
 
 def _row_blocks(n):
@@ -288,35 +286,44 @@ def _head_weights(params, blocks, n):
     return np.pad(w3, ((0, 0), (0, pad))), np.pad(b3, (0, pad))
 
 
-def _blockwise(params, x, passes, layer2, combine):
-    """The prediction `combine` makes of `passes` passes over the rows of
-    `x`, one row block at a time (`_row_blocks`): layer 1 runs once per
-    block, then pass p writes the block's layer-2 activation into `out`,
-    `layer2(h1, rows, p, out)`, and the head runs on it (`_head_weights`).
-    `combine` turns the block's (passes, block rows) means and sigmas into
-    its GaussianPrediction. Block-sized h1, h2 and head outputs are all the
-    scratch; only the (n,) outputs span all rows."""
-    x = _check_input(x, params.w1.value)
+def _blockwise(nets, x, passes=1, mask=None):
+    """The equally weighted mixture of `passes` passes of each network in
+    `nets` over the rows of `x`, one row block at a time (`_row_blocks`).
+    Per block and network, layer 1 runs once, then per pass layer 2, its
+    input and output times `mask(p, layer, rows)` if a mask is given, and
+    the head (`_head_weights`); `aggregate_mc` mixes the block's contiguous
+    (networks * passes, block rows) means and sigmas. Block-sized h1, h2
+    and head outputs are all the scratch; only the (n,) outputs span all
+    rows."""
+    for net in nets:
+        x = _check_input(x, net.w1.value)
     n = len(x)
     blocks = _row_blocks(n)
-    w3, b3 = _head_weights(params, blocks, n)
-    # filled in place from each block's checked and floored prediction, so
-    # no (n,) copy is made for a final check and floor
+    heads = [_head_weights(net, blocks, n) for net in nets]
+    # filled in place from each block's checked and floored mixture, so no
+    # (n,) copy is made for a final check and floor
     pred = GaussianPrediction(np.zeros(n), np.ones(n))
-    width = min(n, _BLOCK_ROWS)
+    width, k = min(n, _BLOCK_ROWS), len(nets) * passes
     h1_rows, h2_rows = np.empty((2, width, HIDDEN_WIDTH))
-    head_rows = np.empty((width, w3.shape[1]))
-    mus_rows, sigmas_rows = np.empty((2, passes * width))
+    # every network's w3 is padded to the same width
+    head_rows = np.empty((width, heads[0][0].shape[1]))
+    mus_rows, sigmas_rows = np.empty((2, k * width))
     for rows in blocks:
         m = rows.stop - rows.start
-        h1 = _hidden(x[rows], params.w1.value, params.b1.value, out=h1_rows[:m])
-        # contiguous (passes, m) views, so the mixture's axis-0 sums run as on all rows
-        mus = mus_rows[: passes * m].reshape(passes, m)
-        sigmas = sigmas_rows[: passes * m].reshape(passes, m)
-        for p in range(passes):
-            h2 = layer2(h1, rows, p, h2_rows[:m])
-            mus[p], sigmas[p] = _head(h2, w3, b3, head_rows[:m])
-        block = combine(mus, sigmas)
+        # contiguous (k, m) views, so the mixture's axis-0 sums run as on all rows
+        mus, sigmas = mus_rows[: k * m].reshape(k, m), sigmas_rows[: k * m].reshape(k, m)
+        for i, (net, (w3, b3)) in enumerate(zip(nets, heads)):
+            h1 = _hidden(x[rows], net.w1.value, net.b1.value, out=h1_rows[:m])
+            for p in range(passes):
+                a = h1
+                if mask is not None:
+                    a = mask(p, 0, rows)
+                    a *= h1
+                h2 = _hidden(a, net.w2.value, net.b2.value, out=h2_rows[:m])
+                if mask is not None:
+                    h2 *= mask(p, 1, rows)
+                mus[i * passes + p], sigmas[i * passes + p] = _head(h2, w3, b3, head_rows[:m])
+        block = aggregate_mc(mus, sigmas)
         pred.mu[rows], pred.sigma[rows] = block.mu, block.sigma
     return pred
 
@@ -470,8 +477,7 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     rng = np.random.default_rng(seed)
     start = rng.bit_generator.state
     keep = 1.0 - dropout_rate
-    w2, b2 = params.w2.value, params.b2.value
-    # a block's masked layer-2 input, then its layer-2 output's mask
+    # a block's layer-2 input mask, then its layer-2 output's
     scratch = np.empty((min(n, _BLOCK_ROWS), HIDDEN_WIDTH))
 
     def mask(p, layer, rows):
@@ -480,14 +486,7 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
         rng.bit_generator.advance(((2 * p + layer) * n + rows.start) * HIDDEN_WIDTH)
         return _keep_mask(rng, keep, scratch[: rows.stop - rows.start])
 
-    def layer2(h1, rows, p, out):
-        a = mask(p, 0, rows)
-        a *= h1
-        h2 = _hidden(a, w2, b2, out=out)
-        h2 *= mask(p, 1, rows)
-        return h2
-
-    return _blockwise(params, x, passes, layer2, aggregate_mc)
+    return _blockwise([params], x, passes, mask)
 
 
 def ensemble_train(dataset, cfg, ens_cfg=EnsembleConfig()):
@@ -506,10 +505,10 @@ def ensemble_train(dataset, cfg, ens_cfg=EnsembleConfig()):
 
 
 def ensemble_predict(members, x):
-    """Moment-matched Gaussian over deterministic member predictions."""
+    """Moment-matched Gaussian over one pass of each member (`_blockwise`)."""
     if not members:
         raise ValueError("ensemble_predict: empty member list")
-    return aggregate_ensemble([predict(m, x) for m in members])
+    return _blockwise(members, x)
 
 
 def save_params(params, path):

@@ -287,6 +287,18 @@ def test_apply_in_place_gives_the_bits_of_the_expression(case):
     assert_same_bits(targets, before[:, 0])
 
 
+def test_apply_names_the_width_it_expects():
+    # a bare IndexError once: "index 2 is out of bounds" for (4, 2) features
+    tf = Standardization(np.zeros(3), np.ones(3), 0.0, 1.0, np.arange(3))
+    for features in (np.ones((4, 2)), np.ones(4), np.ones((4, 3, 1))):
+        with pytest.raises(ValueError, match=r"at least 3 columns, got \(4,"):
+            tf.apply(features, np.ones(4))
+    # a transform that dropped column 0 needs the columns up to 1 only
+    z, _ = Standardization(np.zeros(1), np.ones(1), 0.0, 1.0, np.array([1])).apply(
+        np.arange(8.0).reshape(4, 2), np.ones(4))
+    assert np.array_equal(z, [[1.0], [3.0], [5.0], [7.0]])
+
+
 def test_standardize_peak_stays_near_its_output():
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(20000, 10)), rng.normal(size=20000))

@@ -111,6 +111,25 @@ def test_forward_rejects_1d_input():
             assert str(x.shape) in str(info.value) and "(3, 128)" in str(info.value)
 
 
+def test_ensemble_predict_checks_every_member_against_the_input():
+    rng = np.random.default_rng(5)
+    for members in ([init_mlp(3, rng), init_mlp(2, rng)], [init_mlp(2, rng), init_mlp(3, rng)]):
+        with pytest.raises(ValueError, match=r"mlp: expected \(n, d\)"):
+            ensemble_predict(members, np.ones((4, 3)))
+
+
+def test_sigma_whose_square_overflows_raises_on_every_inference_path():
+    # the mixture squares sigma, so a single network's 1e200 raises as a
+    # non-finite prediction, as ensembles and MC dropout always did
+    params = init_mlp(3, np.random.default_rng(5))
+    params.b3.value[1] = 1e200
+    x = np.ones((4, 3))
+    with np.errstate(over="ignore"):
+        for forward in (predict, lambda p, x: ensemble_predict([p], x), mc_dropout_predict):
+            with pytest.raises(ValueError, match="GaussianPrediction: non-finite"):
+                forward(params, x)
+
+
 def test_nonfinite_pre_activation_raises():
     rng = np.random.default_rng(5)
     params = init_mlp(3, rng)
@@ -164,14 +183,22 @@ def assert_same_bytes(got, want):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def assert_inference_equals_chain(params, x, passes, rate, seed):
-    """`predict` and `mc_dropout_predict` give the tape chain's all-rows
-    bits."""
-    n = len(x)
+def assert_predict_equals_chain(params, x):
+    """`predict` gives the tape chain's all-rows bits; returns its
+    prediction."""
     frozen = MlpParams(*map(nd.constant, params.arrays()))
     mu, sigma = chain_mlp_forward(frozen, x)
     got = predict(params, x)
     assert_same_bytes([got.mu, got.sigma], [mu.value, sigma.value])
+    return got
+
+
+def assert_inference_equals_chain(params, x, passes, rate, seed):
+    """`predict` and `mc_dropout_predict` give the tape chain's all-rows
+    bits."""
+    n = len(x)
+    assert_predict_equals_chain(params, x)
+    frozen = MlpParams(*map(nd.constant, params.arrays()))
     mask_rng = np.random.default_rng(seed)
     preds = []
     for _ in range(passes):
@@ -522,6 +549,15 @@ def test_predict_scratch_stays_block_sized():
     assert peak <= 2 * 2**20
 
 
+def test_ensemble_predict_scratch_stays_block_sized():
+    # five members' h1, h2 and head output of a block, once five (n,)
+    # predictions and their (5, n) stacks (7.8 MiB traced at 36584 rows)
+    for n in (9146, 36584):
+        peak = traced_peak(lambda params, x: ensemble_predict([params] * 5, x), n)
+        assert peak < block_scratch(n, 5, 2.5), (n, peak)
+    assert peak <= 2 * 2**20
+
+
 def test_head_min_rows_is_the_first_head_past_openblas_small_gemm_path():
     floor = models._HEAD_MIN_ROWS
     assert (floor - 1) * 2 * HIDDEN_WIDTH <= 10**6 < floor * 2 * HIDDEN_WIDTH
@@ -650,6 +686,25 @@ def test_inference_across_block_edges_equals_tape_chain_bitwise(seed, n, d, pass
     rng = np.random.default_rng(seed)
     assert_inference_equals_chain(random_params(rng, d), rng.normal(size=(n, d)),
                                   passes, rate, seed)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.one_of(st.integers(min_value=509, max_value=1030),
+              st.integers(min_value=3903, max_value=4200)),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=5),
+)
+def test_ensemble_predict_across_block_edges_equals_its_members_bitwise(seed, n, d, size):
+    # members mix per row block; their stacked all-rows predictions, mixed
+    # once, are the reference
+    rng = np.random.default_rng(seed)
+    members = [random_params(rng, d) for _ in range(size)]
+    x = rng.normal(size=(n, d))
+    want = aggregate_ensemble([assert_predict_equals_chain(m, x) for m in members])
+    got = ensemble_predict(members, x)
+    assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
 
 
 def test_row_blocks_are_even_and_never_one_row():
