@@ -14,22 +14,20 @@ network is one fused op plus one node per head column (`mlp_forward`).
 Inference (`predict`, `mc_dropout_predict`, `ensemble_predict`) is one
 numpy loop off the tape, `_blockwise`, mixing passes of a list of
 networks: one pass of one, masked passes of one, or one of each. It
-walks the fewest row blocks of at most 512 rows with inner bounds at
-multiples of 4 rows (`_row_blocks`), so its scratch is a few (512, 128)
-arrays at any n, pass count and ensemble size. Every row gets the bits
-of an all-rows pass. The (rows, 128) @ (128, 2) head takes OpenBLAS's
-small-matrix path up to 3906 rows (`_HEAD_MIN_ROWS`), which rounds
-differently from the blocked path of larger products: from 3907 rows on,
-each block's head multiplies by w3 padded with zero columns until its
-product leaves the small-matrix path and keeps columns 0 and 1; below,
-all rows and every block take the small-matrix path, on which a block
-from a 4-row bound rounds as all rows do. Layers 1 and 2 showed no such
-split on the OpenBLAS build this was measured on, layer 1 even where a
-block takes the small-matrix path and all rows do not (d <= 15 at 512
-rows), which the tests check for d 1-19. `aggregate_mc` mixes each
-block's passes; its axis-0 means add pass by pass per column, as one
-all-rows call over the stacked passes does, and the mixture of one pass
-is that pass.
+walks the fewest row blocks of at most 512 rows, split as evenly as
+possible (`_row_blocks`), so its scratch is a few (512, 128) arrays at
+any n, pass count and ensemble size, and every row gets the bits of an
+all-rows pass. The (rows, 128) @ (128, 2) head is numpy's einsum loop,
+not BLAS, in training and inference alike (`_head_out`): each of a row's
+two dot products adds in one fixed order, so its bits depend on neither
+n, the block layout nor OpenBLAS's gemm paths, and there is no row grid
+to keep. Layers 1 and 2 use BLAS and gave the all-rows bits on these
+blocks on the OpenBLAS build measured, layer 1 even where a block takes
+the small-matrix path and all rows do not (d <= 15 at 512 rows), which
+the tests check for d 1-19; a one-row block would go to gemv, so none
+has one row. `aggregate_mc` mixes each block's passes; its axis-0 means add
+pass by pass per column, as one all-rows call over the stacked passes
+does, and the mixture of one pass is that pass.
 """
 
 from __future__ import annotations
@@ -47,12 +45,6 @@ from .ndgrad import Node
 from .softsort import SoftSortConfig
 
 HIDDEN_WIDTH = 128
-# OpenBLAS runs a gemm with M * N * K at most this on its small-matrix path,
-# which rounds differently from the blocked path of larger products
-_SMALL_GEMM_MAX = 10**6
-# the fewest rows at which the all-rows (rows, 128) @ (128, 2) head takes
-# the blocked path
-_HEAD_MIN_ROWS = _SMALL_GEMM_MAX // (2 * HIDDEN_WIDTH) + 1
 # the most rows in one block of inference: 512 KiB per (rows, 128) array
 _BLOCK_ROWS = 512
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -78,6 +70,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError(f"TrainConfig: lam must be nonnegative, got {self.lam}")
+        if not self.learning_rate > 0:  # NaN too; a rate <= 0 never descends
+            raise ValueError(f"TrainConfig: learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 2:
             raise ValueError(
                 f"TrainConfig: batch_size must be at least 2, got {self.batch_size}"
@@ -156,20 +150,26 @@ def _check_input(x, w1):
     return x
 
 
-def _affine(h, w, b, out=None):
-    """The pre-activation h @ w + b, written into `out` if one is given; a
-    non-finite entry raises, as it did on the tape, so `train` reports a
-    diverged step."""
-    a = np.matmul(h, w, out=out)
+def _biased(a, b):
+    """a + b, in place in the product `a`; a non-finite entry raises, as it
+    did on the tape, so `train` reports a diverged step."""
     a += b
     if not np.all(np.isfinite(a)):
         raise ValueError("mlp: non-finite values in a pre-activation")
     return a
 
 
+def _head_out(h2, w3, b3, out=None):
+    """The (rows, 2) head output h2 @ w3 + b3 into `out` if given, in numpy's
+    einsum loop, not BLAS: each entry is a dot product of h2's row and a
+    contiguous copy of a w3 column, added in a fixed order, so a row has the
+    same bits in any block. On the strided w3.T view einsum is ~8x slower."""
+    return _biased(np.einsum("ij,kj->ik", h2, np.ascontiguousarray(w3.T), out=out), b3)
+
+
 def _hidden(h, w, b, mask=None, out=None):
-    """relu(h @ w + b), times a keep-scaled dropout mask if one is given."""
-    h = _affine(h, w, b, out)
+    """relu(h @ w + b) into `out` if given, times a keep-scaled dropout mask if given."""
+    h = _biased(np.matmul(h, w, out=out), b)
     np.maximum(h, 0.0, out=h)
     if mask is not None:
         h *= mask
@@ -199,18 +199,19 @@ def _mlp(x, params, masks):
                 grads[2 * k + 2] = nd._unbroadcast(g, b.shape)
             if not any(p.requires_grad for p in parents[: 2 * k + 1]):
                 break
+            # a fresh array, so the mask and the gate multiply into it
             g = g @ w.value.T
             if k > 0:
                 if layer_masks[k] is not None:
-                    g = g * layer_masks[k]
+                    np.multiply(g, layer_masks[k], out=g)
                 # the relu gate: where the mask is 0, g is already +-0 and
                 # (h > 0) gives the same bits as (pre-activation > 0)
-                g = g * (inputs[k] > 0.0)
+                np.multiply(g, inputs[k] > 0.0, out=g)
         else:
             grads[0] = g
         return grads
 
-    return nd._result("mlp", _affine(h2, w3, b3), parents, backward)
+    return nd._result("mlp", _head_out(h2, w3, b3), parents, backward)
 
 
 def _sigma(raw):
@@ -247,10 +248,10 @@ def mlp_forward(params, x, dropout_masks=None):
     return mu, sigma
 
 
-def _head(h2, w3, b3, out=None):
-    """The (mu, sigma) head on a layer-2 activation, off the tape: the first
-    two columns of h2 @ w3 + b3, written into `out` if one is given."""
-    out = _affine(h2, w3, b3, out)
+def _head(h2, net, out=None):
+    """The (mu, sigma) head of `net` on a layer-2 activation, off the tape,
+    its (rows, 2) output (`_head_out`) written into `out` if one is given."""
+    out = _head_out(h2, net.w3.value, net.b3.value, out)
     return out[:, 0], _sigma(out[:, 1])
 
 
@@ -260,30 +261,12 @@ def predict(params, x):
 
 
 def _row_blocks(n):
-    """The fewest blocks of at most `_BLOCK_ROWS` rows that cover n rows, as
-    even as inner bounds at multiples of 4 rows allow. On OpenBLAS's
-    small-matrix path a block from a bound off that grid rounds differently
-    from all rows; and no block of n >= 2 rows is one row, which numpy would
-    send to gemv."""
-    quads = -(-n // 4)
-    k = max(1, -(-quads // (_BLOCK_ROWS // 4)))
-    edges = [4 * (quads * i // k) for i in range(k)] + [n]
+    """The fewest blocks of at most `_BLOCK_ROWS` rows that cover n rows,
+    split as evenly as possible, so no block of n >= 2 rows is one row,
+    which numpy would send to gemv."""
+    k = max(1, -(-n // _BLOCK_ROWS))
+    edges = [n * i // k for i in range(k)] + [n]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
-def _head_weights(params, blocks, n):
-    """w3 and b3 as the head of every row block takes them. From
-    `_HEAD_MIN_ROWS` rows on, the all-rows head takes OpenBLAS's blocked
-    path, so both get zero columns until the smallest block's product passes
-    the small-matrix bound; each block's first two columns then round as the
-    all-rows product does. Below that, all rows and every block take the
-    small-matrix path with the plain w3."""
-    w3, b3 = params.w3.value, params.b3.value
-    if n < _HEAD_MIN_ROWS:
-        return w3, b3
-    smallest = min(rows.stop - rows.start for rows in blocks)
-    pad = _SMALL_GEMM_MAX // (smallest * HIDDEN_WIDTH) + 1 - w3.shape[1]
-    return np.pad(w3, ((0, 0), (0, pad))), np.pad(b3, (0, pad))
 
 
 def _blockwise(nets, x, passes=1, mask=None):
@@ -291,28 +274,25 @@ def _blockwise(nets, x, passes=1, mask=None):
     `nets` over the rows of `x`, one row block at a time (`_row_blocks`).
     Per block and network, layer 1 runs once, then per pass layer 2, its
     input and output times `mask(p, layer, rows)` if a mask is given, and
-    the head (`_head_weights`); `aggregate_mc` mixes the block's contiguous
+    the head (`_head`); `aggregate_mc` mixes the block's contiguous
     (networks * passes, block rows) means and sigmas. Block-sized h1, h2
     and head outputs are all the scratch; only the (n,) outputs span all
     rows."""
     for net in nets:
         x = _check_input(x, net.w1.value)
     n = len(x)
-    blocks = _row_blocks(n)
-    heads = [_head_weights(net, blocks, n) for net in nets]
     # filled in place from each block's checked and floored mixture, so no
     # (n,) copy is made for a final check and floor
     pred = GaussianPrediction(np.zeros(n), np.ones(n))
     width, k = min(n, _BLOCK_ROWS), len(nets) * passes
     h1_rows, h2_rows = np.empty((2, width, HIDDEN_WIDTH))
-    # every network's w3 is padded to the same width
-    head_rows = np.empty((width, heads[0][0].shape[1]))
+    head_rows = np.empty((width, 2))
     mus_rows, sigmas_rows = np.empty((2, k * width))
-    for rows in blocks:
+    for rows in _row_blocks(n):
         m = rows.stop - rows.start
         # contiguous (k, m) views, so the mixture's axis-0 sums run as on all rows
         mus, sigmas = mus_rows[: k * m].reshape(k, m), sigmas_rows[: k * m].reshape(k, m)
-        for i, (net, (w3, b3)) in enumerate(zip(nets, heads)):
+        for i, net in enumerate(nets):
             h1 = _hidden(x[rows], net.w1.value, net.b1.value, out=h1_rows[:m])
             for p in range(passes):
                 a = h1
@@ -322,7 +302,7 @@ def _blockwise(nets, x, passes=1, mask=None):
                 h2 = _hidden(a, net.w2.value, net.b2.value, out=h2_rows[:m])
                 if mask is not None:
                     h2 *= mask(p, 1, rows)
-                mus[i * passes + p], sigmas[i * passes + p] = _head(h2, w3, b3, head_rows[:m])
+                mus[i * passes + p], sigmas[i * passes + p] = _head(h2, net, head_rows[:m])
         block = aggregate_mc(mus, sigmas)
         pred.mu[rows], pred.sigma[rows] = block.mu, block.sigma
     return pred

@@ -149,6 +149,15 @@ def matmul(a, b):
     return nd._result("matmul", a.value @ b.value, (a, b), backward)
 
 
+def einsum_head(h, w):
+    """h @ w for the (rows, 2) head as `models._head_out` forms it, in
+    numpy's einsum loop over a contiguous copy of w's columns; the backward
+    is matmul's."""
+    h, w = nd.constant(h), nd.constant(w)
+    value = np.einsum("ij,kj->ik", h.value, np.ascontiguousarray(w.value.T))
+    return nd._result("einsum_head", value, (h, w), lambda g: (g @ w.value.T, h.value.T @ g))
+
+
 def take(a, idx):
     """Indexing/slicing; the backward scatters the gradient back in place."""
     a = nd.constant(a)
@@ -177,8 +186,9 @@ def dropout(a, mask, rate):
 
 
 def chain_mlp_forward(params, x, dropout_masks=None, dropout_rate=0.0):
-    """(mu, sigma) through 14 generic tape nodes; `dropout_masks` is a pair
-    of 0/1 masks shaped (n, 128)."""
+    """(mu, sigma) through 14 tape nodes, generic but for the head's
+    product (`einsum_head`); `dropout_masks` is a pair of 0/1 masks shaped
+    (n, 128)."""
     x = nd.constant(x)
     h = relu(nd.add(matmul(x, params.w1), params.b1))
     if dropout_masks is not None:
@@ -186,7 +196,7 @@ def chain_mlp_forward(params, x, dropout_masks=None, dropout_rate=0.0):
     h = relu(nd.add(matmul(h, params.w2), params.b2))
     if dropout_masks is not None:
         h = dropout(h, dropout_masks[1], dropout_rate)
-    out = nd.add(matmul(h, params.w3), params.b3)
+    out = nd.add(einsum_head(h, params.w3), params.b3)
     return take(out, (slice(None), 0)), nd.add(softplus(take(out, (slice(None), 1))), 1e-6)
 
 

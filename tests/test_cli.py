@@ -90,6 +90,8 @@ def test_config_validation_errors():
         {"seed": -1},
         {"lambdas": [float("nan")]},
         {"learning_rate": float("nan")},
+        {"learning_rate": -0.01},
+        {"learning_rate": 0},
         {"adv_eps_scale": float("inf"), "model": "ensemble"},
         {"tau": float("inf")},
         {"dataset": "nope"},

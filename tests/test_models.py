@@ -1,9 +1,14 @@
 import contextlib
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +381,11 @@ def test_train_config_validation():
         TrainConfig(lam=0.0, batch_size=1)
     with pytest.raises(ValueError, match="dropout_rate"):
         TrainConfig(lam=0.0, dropout_rate=1.0)
+    # a negative rate ascends the loss, and a zero rate returns the initial network
+    for rate in (-0.01, 0.0, -0.0, float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            TrainConfig(lam=0.0, learning_rate=rate)
+    assert TrainConfig(lam=0.0, learning_rate=5e-324).learning_rate == 5e-324
 
 
 def test_adam_matches_hand_computation():
@@ -520,30 +530,30 @@ def block_scratch(n, passes, arrays):
 
 
 def test_mc_dropout_predict_keeps_no_graph():
-    # below the head's floor too: layer 1's and layer 2's outputs of one
-    # block and its masks, and half an array for the head's output and the
-    # finite checks' bool arrays, beside the (n,) outputs
-    for n in (1, 513, 2000, models._HEAD_MIN_ROWS - 1):
+    # layer 1's and layer 2's outputs of one block and its masks, and half
+    # an array for the head's output and the finite checks' bool arrays,
+    # beside the (n,) outputs
+    for n in (1, 513, 2000, 3906):
         assert traced_peak(mc_dropout_predict, n, passes=10) < block_scratch(n, 10, 3.5)
 
 
 def test_mc_dropout_predict_masks_stay_block_sized():
     # nothing but the (n,) outputs grows with n, and nothing but a block's
     # passes' means and sigmas with the passes; a stack of passes' layer-2
-    # outputs to the head's floor, as once kept, took 5.0 MiB at 9146 rows
+    # outputs of 3907 rows or more, as once kept, took 5.0 MiB at 9146 rows
     # and 10 passes
-    for n in (models._HEAD_MIN_ROWS, 9146, 36584):
+    for n in (3907, 9146, 36584):
         for passes in (1, 10, 30):
             peak = traced_peak(mc_dropout_predict, n, passes=passes)
             assert peak < block_scratch(n, passes, 3.5), (n, passes, peak)
-            if passes == 10 and n > models._HEAD_MIN_ROWS:
+            if passes == 10 and n > 3907:
                 assert peak <= 2.5 * 2**20, (n, peak)
 
 
 def test_predict_scratch_stays_block_sized():
     # one pass and no masks: h1 and h2 of a block, once whole blocks of
     # 3907 to 7813 rows (9.1 MiB traced at 36584 rows)
-    for n in (1, 2000, models._HEAD_MIN_ROWS, 9146, 36584):
+    for n in (1, 2000, 3907, 9146, 36584):
         peak = traced_peak(predict, n)
         assert peak < block_scratch(n, 1, 2.5), (n, peak)
     assert peak <= 2 * 2**20
@@ -558,91 +568,83 @@ def test_ensemble_predict_scratch_stays_block_sized():
     assert peak <= 2 * 2**20
 
 
-def test_head_min_rows_is_the_first_head_past_openblas_small_gemm_path():
-    floor = models._HEAD_MIN_ROWS
-    assert (floor - 1) * 2 * HIDDEN_WIDTH <= 10**6 < floor * 2 * HIDDEN_WIDTH
-
-
 @pytest.mark.parametrize("n", [3907, 7814, 8193, 9146, 11721, 16385, 36584])
 def test_head_gives_each_row_block_the_all_rows_bits(n):
-    # from the floor on the all-rows head takes the blocked path and a block
-    # of at most 512 rows the small-matrix path, unless w3 is padded with
-    # zero columns until the block's product leaves it: each block of n's
-    # row blocks, padded for the smallest, and blocks of 2 to 512 rows at
-    # any start, each padded for itself
+    # n's row blocks, and blocks of 1 to 512 rows at either end and near the
+    # start; at these n an all-rows BLAS head would take OpenBLAS's blocked
+    # gemm path and a block its small-matrix path, which rounds differently
     rng = np.random.default_rng(n)
     params = random_params(rng, 3)
+    w3, b3 = params.w3.value, params.b3.value
     h2 = np.maximum(rng.normal(size=(n, HIDDEN_WIDTH)), 0.0)
-    full = models._head(h2, params.w3.value, params.b3.value)
-    blocks = models._row_blocks(n)
-    single = [slice(start, start + m) for m in (2, 3, 5, 64, 255, 509, 512)
+    full = models._head_out(h2, w3, b3)
+    single = [slice(start, start + m) for m in (1, 2, 3, 5, 64, 255, 509, 512)
               for start in (0, 1, 7, n - m)]
-    for layout in [blocks] + [[rows] for rows in single]:
-        w3, b3 = models._head_weights(params, layout, n)
-        for rows in layout:
-            got = models._head(h2[rows], w3, b3)
-            for i in (0, 1):
-                assert got[i].tobytes() == full[i][rows].tobytes(), (
-                    f"the head padded to {w3.shape[1]} columns rounds rows "
-                    f"{rows.start}:{rows.stop} of {n} differently from the all-rows "
-                    "product; OpenBLAS takes its small-matrix gemm path when M*N*K <= 1e6 "
-                    "and its blocked path past it, and the padding rests on the blocked "
-                    "path giving the first two columns the same bits at any M and N"
-                )
+    for rows in models._row_blocks(n) + single:
+        got = models._head_out(h2[rows], w3, b3)
+        assert got.tobytes() == full[rows].tobytes(), f"rows {rows.start}:{rows.stop} of {n}"
 
 
-def test_head_below_the_floor_gives_4_row_blocks_the_all_rows_bits():
-    # below the floor all rows and every block take the small-matrix path,
-    # on which a block from an inner bound off the 4-row grid rounded
-    # differently from all rows
-    floor = models._HEAD_MIN_ROWS
-    sizes = [2, 3, 4, 5, 7, 9, 511, 512, 513, 514, 515, 516, 1025, 2049, floor - 1]
-    sizes += [int(n) for n in np.random.default_rng(0).integers(2, floor, 20)]
-    for n in sizes:
-        rng = np.random.default_rng(n)
-        params = random_params(rng, 3)
-        h2 = np.maximum(rng.normal(size=(n, HIDDEN_WIDTH)), 0.0)
-        blocks = models._row_blocks(n)
-        w3, b3 = models._head_weights(params, blocks, n)
-        assert w3 is params.w3.value
-        full = models._head(h2, w3, b3)
-        for rows in blocks:
-            got = models._head(h2[rows], w3, b3)
-            for i in (0, 1):
-                assert got[i].tobytes() == full[i][rows].tobytes(), (
-                    f"the head rounds rows {rows.start}:{rows.stop} of {n} differently from "
-                    "the all-rows product; both take OpenBLAS's small-matrix gemm path "
-                    "(M*N*K <= 1e6), and blocks must start at multiples of 4 rows to match it"
-                )
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=40000),
+    st.integers(min_value=1, max_value=models._BLOCK_ROWS),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_head_gives_any_row_block_the_all_rows_bits(seed, n, m, where):
+    # the head is numpy's einsum loop, not a gemm: no BLAS path and no row
+    # grid decides a row's bits, so any block at any start, in place, copied
+    # or written into a slice of scratch, gives the all-rows bits
+    rng = np.random.default_rng(seed)
+    w3, b3 = rng.normal(size=(HIDDEN_WIDTH, 2)), rng.normal(size=2)
+    h2 = np.maximum(rng.normal(size=(n, HIDDEN_WIDTH)), 0.0)
+    m = min(m, n)
+    rows = slice(int(where * (n - m)), int(where * (n - m)) + m)
+    full = models._head_out(h2, w3, b3)
+    scratch = np.empty((models._BLOCK_ROWS + 1, 2))
+    for got in (models._head_out(h2[rows], w3, b3),
+                models._head_out(h2[rows].copy(), w3, b3, out=scratch[1 : m + 1])):
+        assert got.tobytes() == full[rows].tobytes()
+    # each entry lies within gamma_129 * sum |terms| of the exact 128-term
+    # dot product plus the bias (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 3.1), widened by 2u for the rounded products and the final
+    # rounding of the math.fsum reference
+    products = h2[rows, :, None] * w3
+    u = 2.0**-53
+    gamma = (HIDDEN_WIDTH + 3) * u / (1 - (HIDDEN_WIDTH + 3) * u)
+    bound = gamma * (np.abs(products).sum(axis=1) + np.abs(b3))
+    want = [[math.fsum([*products[i, :, k], b3[k]]) for k in (0, 1)] for i in range(m)]
+    assert np.all(np.abs(full[rows] - np.array(want)) <= bound)
 
 
 @pytest.mark.parametrize("d", range(1, 20))
 def test_layer1_gives_each_row_block_the_all_rows_bits(d):
-    # 9146 rows make blocks of 508 or 510 rows, which put layer 1's
-    # (rows, d) @ (d, 128) on OpenBLAS's small-matrix path for every d <= 15,
-    # where all rows take the blocked path; the standardized features `cli`
-    # passes are F-ordered
+    # blocks of 500 to 509 rows put layer 1's (rows, d) @ (d, 128) on
+    # OpenBLAS's small-matrix path for every d <= 15, where all rows take
+    # the blocked path; the standardized features `cli` passes are F-ordered
     rng = np.random.default_rng(d)
     params = random_params(rng, d)
     w1, b1 = params.w1.value, params.b1.value
-    x = rng.normal(size=(9146, d))
-    for layout in (x, np.asfortranarray(x)):
-        full = models._hidden(layout, w1, b1)
-        for rows in models._row_blocks(len(x)):
-            assert models._hidden(layout[rows], w1, b1).tobytes() == full[rows].tobytes(), (
-                f"layer 1 rounds rows {rows.start}:{rows.stop} of {len(x)} at d = {d} "
-                "differently from the all-rows product; OpenBLAS takes its small-matrix "
-                "gemm path when M*N*K <= 1e6, so at this d a block must stay above "
-                f"{10**6 // (HIDDEN_WIDTH * d)} rows"
-            )
+    for x in (rng.normal(size=(n, d)) for n in (2001, 9146, 36584)):
+        for layout in (x, np.asfortranarray(x)):
+            full = models._hidden(layout, w1, b1)
+            for rows in models._row_blocks(len(x)):
+                assert models._hidden(layout[rows], w1, b1).tobytes() == full[rows].tobytes(), (
+                    f"layer 1 rounds rows {rows.start}:{rows.stop} of {len(x)} at d = {d} "
+                    "differently from the all-rows product; OpenBLAS takes its small-matrix "
+                    "gemm path when M*N*K <= 1e6, so at this d a block must stay above "
+                    f"{10**6 // (HIDDEN_WIDTH * d)} rows"
+                )
 
 
 def test_mc_dropout_predict_in_row_blocks_equals_tape_chain_bitwise():
-    # the chain takes all rows at once. 3907 rows are the first whose head
-    # is padded, in 8 blocks of 488 or 491 rows, and 3906 the last whose
-    # head is not; at 7814 rows d = 2 puts all rows' layer 1 just past the
-    # small-matrix path (3907 * 128 * 2 > 1e6); 16385 rows make 33 blocks,
-    # the last of 497; 4000 rows with 30 passes hold 30 passes' means per block
+    # the chain takes all rows at once. From 3907 rows on an all-rows BLAS
+    # head would leave OpenBLAS's small-matrix path, on which a block's head
+    # stays, and 3906 is the last below; at 7814 rows d = 2 puts all rows'
+    # layer 1 just past the small-matrix path (3907 * 128 * 2 > 1e6); 16385
+    # rows make 33 blocks of 496 or 497 rows; 4000 rows with 30 passes hold
+    # 30 passes' means per block
     for n, d, passes, rate in [(7814, 2, 2, 0.25), (3907, 2, 2, 0.25), (3906, 3, 10, 0.25),
                                (16385, 3, 2, 0.25), (9146, 2, 3, 0.4), (4000, 5, 30, 0.25)]:
         rng = np.random.default_rng(n)
@@ -681,8 +683,9 @@ def test_mc_dropout_predict_in_mask_chunks_equals_tape_chain_bitwise(n, d):
     st.floats(min_value=0.05, max_value=0.6),
 )
 def test_inference_across_block_edges_equals_tape_chain_bitwise(seed, n, d, passes, rate):
-    # n across the 512-row edge, where one block becomes two, and across the
-    # head's floor, where the head's padding starts
+    # n across the 512-row edge, where one block becomes two, and across
+    # 3906/3907 rows, where an all-rows BLAS head would leave OpenBLAS's
+    # small-matrix path
     rng = np.random.default_rng(seed)
     assert_inference_equals_chain(random_params(rng, d), rng.normal(size=(n, d)),
                                   passes, rate, seed)
@@ -707,6 +710,38 @@ def test_ensemble_predict_across_block_edges_equals_its_members_bitwise(seed, n,
     assert_same_bytes([got.mu, got.sigma], [want.mu, want.sigma])
 
 
+BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from quantcal.models import ensemble_predict, init_mlp, mc_dropout_predict
+
+rng = np.random.default_rng(0)
+members = [init_mlp(10, rng) for _ in range(5)]
+for net in members:
+    for node in net.nodes():
+        node.value += rng.normal(size=node.shape) * 0.3
+x = rng.normal(size=(9146, 10))
+for pred in (mc_dropout_predict(members[0], x, passes=10), ensemble_predict(members, x)):
+    print(hashlib.sha256(pred.mu.tobytes() + pred.sigma.tobytes()).hexdigest())
+"""
+
+
+def test_inference_is_byte_identical_at_1_and_2_blas_threads():
+    # layers 1 and 2 are BLAS gemms, which OpenBLAS may split across threads;
+    # the head is numpy's own loop. Each thread count runs in a fresh process,
+    # since OpenBLAS reads it once at load
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr[-2000:]
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
+
+
 def test_row_blocks_are_even_and_never_one_row():
     most = models._BLOCK_ROWS
     sizes = [0, 1, 2, 3, 4, 5, most - 1, most, most + 1, most + 2, most + 3, 2 * most,
@@ -717,16 +752,15 @@ def test_row_blocks_are_even_and_never_one_row():
         rows = [block.stop - block.start for block in blocks]
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert [block.start for block in blocks[1:]] == [block.stop for block in blocks[:-1]]
-        # the fewest blocks of at most 512 rows, from bounds on the 4-row grid
+        # the fewest blocks of at most 512 rows, as even as can be, and so
+        # never one row
         assert max(rows) <= most and len(blocks) == max(1, -(-n // most))
-        assert all(block.start % 4 == 0 for block in blocks)
-        # as even as that grid allows, and never one row
-        assert max(rows) - min(rows) < 8
+        assert max(rows) - min(rows) <= 1
         assert n < 2 or min(rows) >= 2
         if n <= most:
             assert blocks == [slice(0, n)]
     assert models._row_blocks(513) == [slice(0, 256), slice(256, 513)]
-    assert models._row_blocks(9146)[-2:] == [slice(8128, 8636), slice(8636, 9146)]
+    assert models._row_blocks(9146)[-2:] == [slice(8129, 8637), slice(8637, 9146)]
 
 
 def nll_input_grad(params, x, y):
