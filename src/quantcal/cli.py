@@ -28,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datasets import (MIN_SPLIT_ROWS, Dataset, SplitSpec, _has_type, descriptor_names,
-                       find_descriptor, load_csv, load_from_descriptor, make_splits,
-                       read_csv_rows, standardize, synth_hetero, write_csv)
+from .datasets import (MIN_SPLIT_ROWS, SplitSpec, _has_type, descriptor_names, find_descriptor,
+                       fit_standardization, load_csv, load_from_descriptor, make_splits,
+                       read_csv_rows, standardized_view, synth_hetero, write_csv)
 from .gaussian import pit
 from .metrics import MetricConfig, MetricsReport, calibration_error, spearman
 from .models import (
@@ -236,10 +236,12 @@ def _load_base_dataset(cfg):
 
 def _data_digest(ds):
     """sha256 of the dataset's float64 values, the features column by column
-    and then the targets. `load_csv`'s features lie in column order already,
-    so their buffer is hashed without a copy; a reformatted CSV with the same
-    values gives the same digest."""
-    digest = hashlib.sha256(np.asfortranarray(ds.features).T)
+    and then the targets, the same bytes in any layout: one column's copy at
+    a time, not the table's. A reformatted CSV with the same values gives
+    the same digest."""
+    digest = hashlib.sha256()
+    for column in ds.features.T:
+        digest.update(np.ascontiguousarray(column))
     digest.update(np.ascontiguousarray(ds.targets))
     return digest.hexdigest()
 
@@ -252,7 +254,9 @@ def _split_runs(cfg, ds, lambdas, members_of):
     training rows, `members_of(lam, split, fit)`, and their test prediction
     under the split's seed with its PITs. `holdout` carves a seeded fifth of
     the train split off before training so the map never sees training rows;
-    otherwise `calib` is `fit` itself, not a second copy."""
+    otherwise `calib` is `fit` itself. The standardized sets are views of
+    `ds` (`standardized_view`), standardized a batch or row block at a time
+    as they are read, so a run holds the loaded table once."""
     for split, (train_idx, test_idx) in enumerate(make_splits(len(ds), cfg.split_spec())):
         fit_idx = calib_idx = train_idx
         if cfg.calib_split == "holdout":
@@ -260,16 +264,16 @@ def _split_runs(cfg, ds, lambdas, members_of):
             n_calib = max(1, int(round(0.2 * len(train_idx))))
             calib_idx = np.sort(train_idx[perm[:n_calib]])
             fit_idx = np.sort(train_idx[perm[n_calib:]])
-        fit, transform = standardize(ds.subset(fit_idx))
-        calib = fit
-        if calib_idx is not fit_idx:
-            calib = Dataset(*transform.apply(ds.features[calib_idx], ds.targets[calib_idx]))
-        x_test, y_test = transform.apply(ds.features[test_idx], ds.targets[test_idx])
+        transform = fit_standardization(ds, fit_idx)
+        fit = standardized_view(ds, fit_idx, transform)
+        calib = fit if calib_idx is fit_idx else standardized_view(ds, calib_idx, transform)
+        test = standardized_view(ds, test_idx, transform)
         for lam in lambdas:
             try:
                 members = members_of(lam, split, fit)
-                pred = _predict(cfg, members, x_test, cfg.train_seed(split) + PREDICT_SEED_OFFSET)
-                pits = pit(pred, y_test)
+                seed = cfg.train_seed(split) + PREDICT_SEED_OFFSET
+                pred = _predict(cfg, members, test.features, seed)
+                pits = pit(pred, test.targets)
             except (RuntimeError, ValueError, MemoryError) as exc:
                 detail = str(exc) or type(exc).__name__  # a bare MemoryError has no message
                 raise RuntimeError(f"split {split}, lam={lam:g}: {detail}") from exc

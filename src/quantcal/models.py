@@ -28,6 +28,14 @@ the tests check for d 1-19; a one-row block would go to gemv, so none
 has one row. `aggregate_mc` mixes each block's passes; its axis-0 means add
 pass by pass per column, as one all-rows call over the stacked passes
 does, and the mixture of one pass is that pass.
+
+Training and inference read their input by row indexing, one batch or
+block at a time, so the input may be an array or a standardized row view
+(`datasets.StandardizedRows`). A view's batch comes out F-ordered, as
+`Standardization.apply` leaves it, where a batch gathered from a
+standardized copy was C-ordered; layers 1 and 2 and their gradients gave
+the same bits on either layout on the OpenBLAS build measured, which the
+tests check by training and predicting on both.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import numpy as np
 
 from . import ndgrad as nd
 from .ckl import total_loss
+from .datasets import as_feature_rows
 from .gaussian import SIGMA_FLOOR, GaussianPrediction, aggregate_mc, gaussian_nll, libm_exp
 from .ndgrad import Node
 from .softsort import SoftSortConfig
@@ -143,8 +152,10 @@ def init_mlp(n_features, rng):
 
 
 def _check_input(x, w1):
-    """`x` as a float64 array, which must be (n, d) for w1 of shape (d, 128)."""
-    x = np.asarray(x, dtype=np.float64)
+    """`x` as rows to read (`as_feature_rows`: a float64 array, or a
+    standardized row view as it is), which must be (n, d) for w1 of shape
+    (d, 128)."""
+    x = as_feature_rows(x)
     if x.ndim != 2 or x.shape[1] != w1.shape[0]:
         raise ValueError(f"mlp: expected (n, d) input for w1 of shape {w1.shape}, got {x.shape}")
     return x
@@ -271,13 +282,14 @@ def _row_blocks(n):
 
 def _blockwise(nets, x, passes=1, mask=None):
     """The equally weighted mixture of `passes` passes of each network in
-    `nets` over the rows of `x`, one row block at a time (`_row_blocks`).
-    Per block and network, layer 1 runs once, then per pass layer 2, its
-    input and output times `mask(p, layer, rows)` if a mask is given, and
-    the head (`_head`); `aggregate_mc` mixes the block's contiguous
-    (networks * passes, block rows) means and sigmas. Block-sized h1, h2
-    and head outputs are all the scratch; only the (n,) outputs span all
-    rows."""
+    `nets` over the rows of `x`, an array or a row view, one row block at a
+    time (`_row_blocks`). A block is read once for all networks, so a view
+    standardizes each row once. Per block and network, layer 1 runs once,
+    then per pass layer 2, its input and output times `mask(p, layer,
+    rows)` if a mask is given, and the head (`_head`); `aggregate_mc` mixes
+    the block's contiguous (networks * passes, block rows) means and
+    sigmas. Block-sized h1, h2 and head outputs are all the scratch; only
+    the (n,) outputs span all rows."""
     for net in nets:
         x = _check_input(x, net.w1.value)
     n = len(x)
@@ -292,8 +304,9 @@ def _blockwise(nets, x, passes=1, mask=None):
         m = rows.stop - rows.start
         # contiguous (k, m) views, so the mixture's axis-0 sums run as on all rows
         mus, sigmas = mus_rows[: k * m].reshape(k, m), sigmas_rows[: k * m].reshape(k, m)
+        block = x[rows]
         for i, net in enumerate(nets):
-            h1 = _hidden(x[rows], net.w1.value, net.b1.value, out=h1_rows[:m])
+            h1 = _hidden(block, net.w1.value, net.b1.value, out=h1_rows[:m])
             for p in range(passes):
                 a = h1
                 if mask is not None:
@@ -390,22 +403,25 @@ def _batch_grads(params, xb, yb, masks, cfg, sort_cfg, adv_eps):
     *grads, gx = nd.gradients(loss * 0.5, [*params.nodes(), leaf])
     if cfg.lam:
         (gx,) = nd.gradients(gaussian_nll(mu, sigma, yb), [leaf])
+    value = loss.value
+    # the clean graph's activations are freed before the copy's pass
+    del loss, mu, sigma, leaf
     loss_a = loss_of(fgsm_perturb(xb, gx, adv_eps))[0]
     grads_a = nd.gradients(loss_a * 0.5, params.nodes())
-    return (loss.value + loss_a.value) * 0.5, [a + b for a, b in zip(grads, grads_a)]
+    return (value + loss_a.value) * 0.5, [a + b for a, b in zip(grads, grads_a)]
 
 
 def train(dataset, cfg, adv_eps=None, loss_history=None):
-    """Train one MLP on `dataset` (features/targets arrays) with full-pass
-    shuffled minibatches. Identical seeds give identical parameters.
+    """Train one MLP on `dataset` (its features an array or a row view,
+    read a batch at a time) with full-pass shuffled minibatches. Identical
+    seeds give identical parameters.
 
     adv_eps: optional per-feature FGSM step; when set, each batch loss is
     averaged with the loss on its copy stepped by sign(d NLL / d x).
     loss_history: optional list; receives the mean training loss per epoch.
     Raises RuntimeError (with epoch/batch position) if the loss diverges.
     """
-    x = np.asarray(dataset.features, dtype=np.float64)
-    y = np.asarray(dataset.targets, dtype=np.float64)
+    x, y = dataset.features, dataset.targets
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise ValueError(
             f"train: expected (n, d) features and (n,) targets, got {x.shape} "
@@ -469,14 +485,26 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     return _blockwise([params], x, passes, mask)
 
 
+def _column_range(x):
+    """Each column's max - min over the rows of `x`, an array or a row view,
+    read a row block at a time (`_row_blocks`), so a view is never read
+    whole. Max and min are exact, so the blocks give the bits of one
+    all-rows reduction."""
+    lo = hi = None
+    for rows in _row_blocks(len(x)):
+        block = x[rows]
+        lo = block.min(axis=0) if lo is None else np.minimum(lo, block.min(axis=0))
+        hi = block.max(axis=0) if hi is None else np.maximum(hi, block.max(axis=0))
+    return hi - lo
+
+
 def ensemble_train(dataset, cfg, ens_cfg=EnsembleConfig()):
     """Train `ens_cfg.size` members; member m sees the same data with seed
     `cfg.seed + m`, trains without dropout, and adds the loss on each batch's
     FGSM copy, stepped by `adv_eps_scale` times each feature's range."""
-    x = np.asarray(dataset.features, dtype=np.float64)
     adv_eps = None
     if ens_cfg.adv_eps_scale > 0.0:
-        adv_eps = ens_cfg.adv_eps_scale * (x.max(axis=0) - x.min(axis=0))
+        adv_eps = ens_cfg.adv_eps_scale * _column_range(dataset.features)
     member_cfg = replace(cfg, dropout_rate=0.0)
     return [
         train(dataset, replace(member_cfg, seed=cfg.seed + m), adv_eps=adv_eps)

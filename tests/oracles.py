@@ -11,7 +11,11 @@ the fused op and the numpy inference path must reproduce it bit for bit.
 relaxed permutation matrix; the closed form must stay within a stated
 bound of it. `reference_load_csv` is the CSV reader that made a Python
 string per cell and converted them with float(); numpy's text reader must
-give its values to the bit.
+give its values to the bit. `reference_standardize` is standardization
+with each statistic one numpy call on all columns, as it was before the
+statistics were taken in column chunks. `reference_data_digest` is the run record's
+data digest as it was first written, which hashed a Fortran-ordered copy
+of the features; run directories recorded with it must still match.
 
 scipy.special is the oracle of the package's own `ndtr` and `expit`, which
 must equal it to the bit (`assert_same_bits`) on any float64
@@ -19,6 +23,7 @@ must equal it to the bit (`assert_same_bits`) on any float64
 """
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -249,3 +254,23 @@ def reference_load_csv(path, target_column=-1, delimiter=",", has_header=True):
         raise ValueError(f"{path}: non-finite value")
     feature_cols = [i for i in range(len(header)) if i != target_idx]
     return data[:, feature_cols], data[:, target_idx], [header[i] for i in feature_cols]
+
+
+def reference_data_digest(ds):
+    """sha256 of the features' Fortran-ordered buffer, the columns one after
+    another, then of the targets."""
+    digest = hashlib.sha256(np.asfortranarray(ds.features).T)
+    digest.update(np.ascontiguousarray(ds.targets))
+    return digest.hexdigest()
+
+
+def reference_standardize(features, targets):
+    """(features, targets, feature mean, feature std, target mean, target
+    std, kept columns) of standardizing with whole-array reductions:
+    population statistics, constant feature columns dropped, then
+    (x - mean) / std."""
+    mean, std = features.mean(axis=0), features.std(axis=0)
+    kept = np.flatnonzero(std > 0.0)
+    t_mean, t_std = float(targets.mean()), float(targets.std())
+    z = (features[:, kept] - mean[kept]) / std[kept]
+    return z, (targets - t_mean) / t_std, mean[kept], std[kept], t_mean, t_std, kept

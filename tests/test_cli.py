@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_data_digest
 from quantcal import cli, softsort
 from quantcal.cli import ExperimentConfig, main
 from quantcal.datasets import load_csv
@@ -350,6 +352,50 @@ def test_recalibrate_checks_the_data_it_was_trained_on(tmp_path, capsys):
     run_config.write_text(json.dumps(stored))
     assert main(["recalibrate", "--out", str(out)]) == 2
     assert_one_error_line(capsys.readouterr().err, trained_on)
+
+
+@pytest.mark.parametrize("has_header", [True, False])
+@pytest.mark.parametrize("target", [0, 2, -1])
+def test_data_digest_is_the_one_recorded_before(tmp_path, target, has_header):
+    # load_csv's features are now a view of the table for an edge target
+    # and were an F-ordered copy; run directories recorded under the old
+    # formula must still recalibrate
+    table = np.random.default_rng(3).normal(size=(40, 5))
+    path = tmp_path / "data.csv"
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", comments="",
+               header="a,b,c,d,e" if has_header else "")
+    ds = load_csv(path, target_column=target, has_header=has_header)
+    for data in (ds, ds.subset(np.arange(0, 40, 3))):  # and a desk-scale gather
+        assert cli._data_digest(data) == reference_data_digest(data)
+
+
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    """A seeded 30000 x 41 CSV, the target last, and its table's bytes."""
+    table = np.random.default_rng(0).normal(size=(30000, 41)) * np.geomspace(0.5, 50.0, 41)
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", comments="",
+               header=",".join(f"c{i}" for i in range(41)))
+    return path, table.nbytes
+
+
+@pytest.mark.parametrize("model, calib_split", [("mc_dropout", "train"), ("ensemble", "holdout")])
+def test_train_and_recalibrate_hold_the_table_once(tmp_path, wide_csv, model, calib_split):
+    path, table_bytes = wide_csv
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"dataset": str(path), "model": model, "calib_split": calib_split,
+                                  "lambdas": [0.0], "epochs": 1, "n_splits": 1, "batch_size": 512,
+                                  "mc_passes": 2, "ensemble_size": 2})
+    for argv in (["train", "--config", cfg, "--out", str(out)], ["recalibrate", "--out", str(out)]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the table, the parser's scratch and batch- or block-sized reads;
+        # standardized copies of the split's rows beside the table read 2.3-2.7x
+        assert peak <= 1.8 * table_bytes, (argv[0], peak / table_bytes)
 
 
 def test_out_of_memory_exits_1_naming_the_run(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,17 +9,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import assert_same_bits, reference_load_csv, synth_hetero_truth
+from oracles import assert_same_bits, reference_load_csv, reference_standardize, synth_hetero_truth
+from quantcal import datasets, models
 from quantcal.datasets import (
     Dataset,
     SplitSpec,
     Standardization,
     descriptor_names,
+    fit_standardization,
     load_csv,
     load_descriptor,
     load_from_descriptor,
     make_splits,
     standardize,
+    standardized_view,
     synth_hetero,
 )
 
@@ -212,8 +216,9 @@ def test_load_csv_peak_stays_near_its_data(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(np.column_stack([ds.features, ds.targets]), table)
-    # the float64 table plus its feature copy; a string per cell was 12.5x
-    assert peak < 3 * table.nbytes
+    # the float64 table, which the features view, and the targets' copy;
+    # a feature copy beside the table read 2x, and a string per cell 12.5x
+    assert peak < 1.5 * table.nbytes
 
 
 def test_load_csv_targets_do_not_keep_the_table_alive(tmp_path):
@@ -311,6 +316,87 @@ def test_standardize_peak_stays_near_its_output():
     # the standardized features and targets; a full-size temporary beside
     # them, as (f - mean) / std made two of, breaks the bound
     assert peak < 1.25 * ds.features.nbytes
+
+
+def laid_out(features, targets, layout):
+    """A Dataset of `features` and `targets` as `load_csv` leaves a table
+    whose target is its first column, its last, or one in the middle: the
+    features a C-ordered view of the table for an edge target, else an
+    F-ordered copy."""
+    n, d = features.shape
+    if layout == "target_first":
+        return Dataset(np.column_stack([targets, features])[:, 1:], targets.copy())
+    if layout == "target_last":
+        return Dataset(np.column_stack([features, targets])[:, :-1], targets.copy())
+    table = np.column_stack([features[:, :1], targets, features[:, 1:]])
+    return Dataset(table[:, [0, *range(2, d + 1)]], targets.copy())
+
+
+def warnings_of(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 19), st.integers(6, 1200), st.integers(2, 20),
+       st.sampled_from(["target_first", "target_last", "middle_target"]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_views_give_the_bits_of_standardized_copies(d, n, width, layout, seed, data):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, d) + rng.uniform(-50.0, 50.0, d)
+    constant = data.draw(st.lists(st.integers(0, d - 1), max_size=d - 1, unique=True))
+    # integers, so every sum of a constant column is exact and its std is 0
+    features[:, constant] = rng.integers(-5, 6, len(constant))
+    ds = laid_out(features, rng.normal(3.0, 2.0, n), layout)
+    order = rng.permutation(n)
+    n_fit = data.draw(st.integers(2, n - 2))
+    fit, calib = np.sort(order[:n_fit]), np.sort(order[n_fit:])
+    # chunks of `width` columns, the last one wider rather than one column
+    with mock.patch.object(datasets, "_CHUNK_COLUMNS", width):
+        tf, caught = warnings_of(fit_standardization, ds, fit)
+        (copy, copy_tf), copy_caught = warnings_of(standardize, ds.subset(fit))
+        (_, whole_tf), _ = warnings_of(standardize, ds)
+    dropped = [f"x{i}" for i in sorted(constant)]
+    assert caught == copy_caught == ([f"standardize: dropping constant feature columns {dropped}"]
+                                     if constant else [])
+    # the statistics: whole-array reductions over the fit rows, and over all rows
+    for got, rows in ((tf, fit), (copy_tf, fit), (whole_tf, slice(None))):
+        *_, mean, std, t_mean, t_std, kept = reference_standardize(ds.features[rows], ds.targets[rows])
+        assert_same_bits(got.feature_mean, mean)
+        assert_same_bits(got.feature_std, std)
+        assert (got.target_mean, got.target_std) == (t_mean, t_std)
+        assert np.array_equal(got.kept_columns, kept)
+    # the fit rows' view, in any batch, and the holdout calibration rows' view
+    view = standardized_view(ds, fit, tf)
+    assert len(view) == n_fit and view.n_features == d - len(constant)
+    assert view.feature_names == copy.feature_names
+    assert_same_bits(view.targets, copy.targets)
+    batch = rng.permutation(n_fit)[: data.draw(st.integers(1, n_fit))]
+    for rows in (slice(None), batch, slice(n_fit // 3, n_fit)):
+        assert_same_bits(view.features[rows], copy.features[rows])
+    z, t = tf.apply(ds.features[calib], ds.targets[calib])
+    calib_view = standardized_view(ds, calib, tf)
+    assert_same_bits(calib_view.features[:], z)
+    assert_same_bits(calib_view.targets, t)
+    # ensemble_train's FGSM step, read a row block at a time from the view
+    with mock.patch.object(models, "train", lambda dataset, cfg, adv_eps: adv_eps):
+        (adv_eps,) = models.ensemble_train(view, models.TrainConfig(lam=0.0),
+                                           models.EnsembleConfig(size=1))
+    assert_same_bits(adv_eps, 0.01 * (copy.features.max(axis=0) - copy.features.min(axis=0)))
+
+
+def test_column_chunks_are_two_columns_or_more():
+    # an (n, 1) chunk of a wider table reduces pairwise and changes the bits
+    for width in range(2, 10):
+        with mock.patch.object(datasets, "_CHUNK_COLUMNS", width):
+            for d in range(1, 40):
+                edges = [c.start for c in datasets._column_chunks(d)] + [d]
+                assert edges[0] == 0
+                assert all(min(2, d) <= b - a <= width + 1 for a, b in zip(edges, edges[1:]))
+    assert datasets._column_chunks(10) == [slice(0, 8), slice(8, 10)]
+    assert datasets._column_chunks(9) == [slice(0, 9)]
 
 
 def test_standardize_rejects_constant_target():
