@@ -17,6 +17,7 @@ rows so a full run finishes in well under a minute.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -247,16 +248,19 @@ def _data_digest(ds):
 
 
 def _split_runs(cfg, ds, lambdas, members_of):
-    """The (split, lambda) loop every verb shares. Yields (split, lam, fit,
-    calib, test_idx, transform, members, pred, pits) per seeded split and
-    lambda: the standardized rows the model trains on and those that fit the
-    calibration map, the test rows, the standardization fitted on the
-    training rows, `members_of(lam, split, fit)`, and their test prediction
-    under the split's seed with its PITs. `holdout` carves a seeded fifth of
-    the train split off before training so the map never sees training rows;
-    otherwise `calib` is `fit` itself. The standardized sets are views of
-    `ds` (`standardized_view`), standardized a batch or row block at a time
-    as they are read, so a run holds the loaded table once."""
+    """The split loop every verb shares. Yields (split, fit, calib, test_idx,
+    transform, runs) per seeded split: the standardized rows the models
+    train on and those that fit the calibration map, the test rows, the
+    standardization fitted on the training rows, and per lambda a run (lam,
+    members, pred, pits): `members_of(lam, split, fit)` and their test
+    prediction under the split's seed with its PITs. Every lambda's members
+    are got before one `_predict` call predicts the test rows for all of
+    them, so MC dropout draws each mask once for the split. `holdout` carves
+    a seeded fifth of the train split off before training so the map never
+    sees training rows; otherwise `calib` is `fit` itself. The standardized
+    sets are views of `ds` (`standardized_view`), standardized a batch or
+    row block at a time as they are read, so a run holds the loaded table
+    once. A failure is named by its split and lambda (`_run_named`)."""
     for split, (train_idx, test_idx) in enumerate(make_splits(len(ds), cfg.split_spec())):
         fit_idx = calib_idx = train_idx
         if cfg.calib_split == "holdout":
@@ -268,24 +272,55 @@ def _split_runs(cfg, ds, lambdas, members_of):
         fit = standardized_view(ds, fit_idx, transform)
         calib = fit if calib_idx is fit_idx else standardized_view(ds, calib_idx, transform)
         test = standardized_view(ds, test_idx, transform)
+        members = []
         for lam in lambdas:
-            try:
-                members = members_of(lam, split, fit)
-                seed = cfg.train_seed(split) + PREDICT_SEED_OFFSET
-                pred = _predict(cfg, members, test.features, seed)
-                pits = pit(pred, test.targets)
-            except (RuntimeError, ValueError, MemoryError) as exc:
-                detail = str(exc) or type(exc).__name__  # a bare MemoryError has no message
-                raise RuntimeError(f"split {split}, lam={lam:g}: {detail}") from exc
-            yield split, lam, fit, calib, test_idx, transform, members, pred, pits
+            with _run_named(split, lam):
+                members.append(members_of(lam, split, fit))
+        seed = cfg.train_seed(split) + PREDICT_SEED_OFFSET
+        runs = []
+        for lam, run_members, pred in zip(
+            lambdas, members, _predict(cfg, split, lambdas, members, test.features, seed)
+        ):
+            with _run_named(split, lam):
+                runs.append((lam, run_members, pred, pit(pred, test.targets)))
+        yield split, fit, calib, test_idx, transform, runs
 
 
-def _predict(cfg, members, x, seed):
-    if cfg.model == "mc_dropout":
-        return mc_dropout_predict(
-            members[0], x, passes=cfg.mc_passes, dropout_rate=cfg.dropout_rate, seed=seed
-        )
-    return ensemble_predict(members, x)
+@contextlib.contextmanager
+def _run_named(split, lam):
+    """Re-raise a failure inside the run of `split` and `lam` as one
+    RuntimeError line that names them."""
+    try:
+        yield
+    except (RuntimeError, ValueError, MemoryError) as exc:
+        detail = str(exc) or type(exc).__name__  # a bare MemoryError has no message
+        raise RuntimeError(f"split {split}, lam={lam:g}: {detail}") from exc
+
+
+def _predict(cfg, split, lambdas, members, x, seed):
+    """Each lambda's prediction of `x` under `seed`, from its members. MC
+    dropout predicts every lambda's network in one call under one set of
+    masks. If that call fails, each network is run alone in lambda order,
+    so the failure is named by the first lambda that fails alone, as in
+    one call per lambda; a failure of the shared call only is named by the
+    first lambda."""
+    if cfg.model == "ensemble":
+        preds = []
+        for lam, run_members in zip(lambdas, members):
+            with _run_named(split, lam):
+                preds.append(ensemble_predict(run_members, x))
+        return preds
+    nets = [run_members[0] for run_members in members]
+    kwargs = dict(passes=cfg.mc_passes, dropout_rate=cfg.dropout_rate, seed=seed)
+    try:
+        return mc_dropout_predict(nets, x, **kwargs)
+    except (RuntimeError, ValueError, MemoryError) as exc:
+        failure = exc
+    for lam, net in zip(lambdas, nets):
+        with _run_named(split, lam):
+            mc_dropout_predict(net, x, **kwargs)
+    with _run_named(split, lambdas[0]):
+        raise failure
 
 
 def _artifact_paths(out_dir, cfg, lam, split):
@@ -343,18 +378,17 @@ def _run_experiment(cfg, lambdas):
     metric_rows = []
     reliability_rows = []
     members_by_run = {}
-    for split, lam, fit, _, test_idx, transform, members, pred, pits in _split_runs(
-        cfg, ds, lambdas, members_of
-    ):
-        report = MetricsReport.evaluate(
-            transform.inverse_predictions(pred), ds.targets[test_idx], pits, mcfg
-        )
-        row = (cfg.dataset, cfg.model, lam, split, len(fit), len(test_idx),
-               report.calib_error, report.rmse, report.nll)
-        metric_rows.append(dict(zip(METRICS_FIELDS, row)))
-        for expected, observed in report.reliability:
-            reliability_rows.append((cfg.dataset, cfg.model, lam, split, expected, observed))
-        members_by_run[(lam, split)] = members
+    for split, fit, _, test_idx, transform, runs in _split_runs(cfg, ds, lambdas, members_of):
+        for lam, members, pred, pits in runs:
+            report = MetricsReport.evaluate(
+                transform.inverse_predictions(pred), ds.targets[test_idx], pits, mcfg
+            )
+            row = (cfg.dataset, cfg.model, lam, split, len(fit), len(test_idx),
+                   report.calib_error, report.rmse, report.nll)
+            metric_rows.append(dict(zip(METRICS_FIELDS, row)))
+            for expected, observed in report.reliability:
+                reliability_rows.append((cfg.dataset, cfg.model, lam, split, expected, observed))
+            members_by_run[(lam, split)] = members
     return metric_rows, reliability_rows, members_by_run, _data_digest(ds)
 
 
@@ -413,7 +447,10 @@ def cmd_train(cfg, command="train"):
 
 
 def cmd_recalibrate(cfg):
-    """Refit isotonic maps for the run in `cfg.out`, under its stored config."""
+    """Refit isotonic maps for the run in `cfg.out`, under its stored config.
+    Each split's models are loaded once (`_split_runs`), and one `_predict`
+    call predicts its calibration rows for every lambda under the split's
+    seed, as for the test rows."""
     out_dir = Path(cfg.out)
     run_config_path = out_dir / "run_config.json"
     if not run_config_path.exists():
@@ -441,15 +478,17 @@ def cmd_recalibrate(cfg):
     mcfg = cfg.metric_config()
     maps = {}
     rows = []
-    for split, lam, _, calib, _, _, members, _, pits in _split_runs(
-        cfg, ds, cfg.resolved_lambdas("train"), members_of
-    ):
+    lambdas = cfg.resolved_lambdas("train")
+    for split, _, calib, _, _, runs in _split_runs(cfg, ds, lambdas, members_of):
         seed = cfg.train_seed(split) + CALIB_SEED_OFFSET
-        cal_map = fit_calibration_map(_predict(cfg, members, calib.features, seed), calib.targets)
-        maps[f"{cfg.model}_lam{lam:g}_split{split}.csv"] = cal_map
-        pre = calibration_error(pits, mcfg)
-        post = calibration_error(apply_map(cal_map, pits), mcfg)
-        rows.append((cfg.dataset, cfg.model, lam, split, pre, post, "*" if post > pre else ""))
+        preds = _predict(cfg, split, lambdas, [members for _, members, _, _ in runs],
+                         calib.features, seed)
+        for (lam, _, _, pits), pred in zip(runs, preds):
+            cal_map = fit_calibration_map(pred, calib.targets)
+            maps[f"{cfg.model}_lam{lam:g}_split{split}.csv"] = cal_map
+            pre = calibration_error(pits, mcfg)
+            post = calibration_error(apply_map(cal_map, pits), mcfg)
+            rows.append((cfg.dataset, cfg.model, lam, split, pre, post, "*" if post > pre else ""))
     # only after every run, so a failed one leaves the earlier maps as they were
     (out_dir / "maps").mkdir(exist_ok=True)
     for name, cal_map in maps.items():

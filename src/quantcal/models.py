@@ -12,22 +12,26 @@ Training minimizes mean NLL plus an optional uniformity penalty on the
 batch PIT values (`ckl.total_loss`), optimized with Adam. On the tape the
 network is one fused op plus one node per head column (`mlp_forward`).
 Inference (`predict`, `mc_dropout_predict`, `ensemble_predict`) is one
-numpy loop off the tape, `_blockwise`, mixing passes of a list of
-networks: one pass of one, masked passes of one, or one of each. It
+numpy loop off the tape, `_blockwise`, mixing passes of groups of
+networks: one pass of one, masked passes of one, one of each ensemble
+member, or masked passes of each of several networks kept apart, which
+share every mask, so MC dropout draws it once for all of them. It
 walks the fewest row blocks of at most 512 rows, split as evenly as
 possible (`_row_blocks`), so its scratch is a few (512, 128) arrays at
-any n, pass count and ensemble size, and every row gets the bits of an
-all-rows pass. The (rows, 128) @ (128, 2) head is numpy's einsum loop,
-not BLAS, in training and inference alike (`_head_out`): each of a row's
-two dot products adds in one fixed order, so its bits depend on neither
-n, the block layout nor OpenBLAS's gemm paths, and there is no row grid
-to keep. Layers 1 and 2 use BLAS and gave the all-rows bits on these
-blocks on the OpenBLAS build measured, layer 1 even where a block takes
-the small-matrix path and all rows do not (d <= 15 at 512 rows), which
-the tests check for d 1-19; a one-row block would go to gemv, so none
-has one row. `aggregate_mc` mixes each block's passes; its axis-0 means add
-pass by pass per column, as one all-rows call over the stacked passes
-does, and the mixture of one pass is that pass.
+any n, pass count and ensemble size (and one h1 per network), and every
+row gets the bits of an all-rows pass. The (rows, 128) @ (128, 2) head
+is numpy's einsum loop, not BLAS, in training and inference alike
+(`_head_out`): each of a row's two dot products adds in one fixed
+order, so its bits depend on neither n, the block layout nor OpenBLAS's
+gemm paths, and there is no row grid to keep. Layers 1 and 2 use BLAS
+and gave the all-rows bits on these blocks on the OpenBLAS build
+measured, layer 1 even where a block takes the small-matrix path and all
+rows do not (d <= 15 at 512 rows), which the tests check for d 1-19; a
+one-row block would go to gemv, so none has one row. One `aggregate_mc` call mixes each block's passes of all
+groups; its axis-0 means add pass by pass per column, as one all-rows
+call over one group's stacked passes does, and the mixture of one pass
+is that pass. A one-row block (n = 1) mixes each group alone: numpy adds
+a (passes, 1) axis pairwise, not pass by pass.
 
 Training and inference read their input by row indexing, one batch or
 block at a time, so the input may be an array or a standardized row view
@@ -43,6 +47,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -268,7 +273,7 @@ def _head(h2, net, out=None):
 
 def predict(params, x):
     """Deterministic single forward pass (no dropout), off the tape."""
-    return _blockwise([params], x)
+    return _blockwise([[params]], x)[0]
 
 
 def _row_blocks(n):
@@ -280,45 +285,70 @@ def _row_blocks(n):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _blockwise(nets, x, passes=1, mask=None):
-    """The equally weighted mixture of `passes` passes of each network in
-    `nets` over the rows of `x`, an array or a row view, one row block at a
-    time (`_row_blocks`). A block is read once for all networks, so a view
-    standardizes each row once. Per block and network, layer 1 runs once,
-    then per pass layer 2, its input and output times `mask(p, layer,
-    rows)` if a mask is given, and the head (`_head`); `aggregate_mc` mixes
-    the block's contiguous (networks * passes, block rows) means and
-    sigmas. Block-sized h1, h2 and head outputs are all the scratch; only
-    the (n,) outputs span all rows."""
+def _blockwise(groups, x, passes=1, mask=None):
+    """One equally weighted mixture per group of `groups`, of `passes` passes
+    of each of its networks, over the rows of `x`, an array or a row view,
+    one row block at a time (`_row_blocks`); every group holds as many
+    networks. A block is read once for all networks, so a view standardizes
+    each row once. Per block, each network's layer 1 runs once; then per
+    pass and network, layer 2, its input and output times `mask(p, layer,
+    rows)` if a mask is given, and the head (`_head`). A pass's two masks
+    are taken at its first network and serve them all; the last multiplies
+    its layer-2 input into the first mask in place, as `mask` draws it anew
+    for the next pass. One `aggregate_mc` call mixes the block's contiguous
+    (networks per group * passes, groups * block rows) means and sigmas,
+    the groups' block rows side by side, or one call per group if the block
+    is one row. Block-sized h1s (one per network when it makes several
+    passes), masked layer-2 input, h2 and head output are all the scratch;
+    only the (n,) outputs span all rows."""
+    nets = [net for group in groups for net in group]
     for net in nets:
         x = _check_input(x, net.w1.value)
-    n = len(x)
+    n, size = len(x), len(groups[0])
     # filled in place from each block's checked and floored mixture, so no
     # (n,) copy is made for a final check and floor
-    pred = GaussianPrediction(np.zeros(n), np.ones(n))
-    width, k = min(n, _BLOCK_ROWS), len(nets) * passes
-    h1_rows, h2_rows = np.empty((2, width, HIDDEN_WIDTH))
+    preds = [GaussianPrediction(np.zeros(n), np.ones(n)) for _ in groups]
+    width, k = min(n, _BLOCK_ROWS), size * passes
+    # a network keeps its h1 through its passes; one pass uses it at once
+    *h1_rows, h2_rows = np.empty(((len(nets) if passes > 1 else 1) + 1, width, HIDDEN_WIDTH))
+    # a shared mask is not multiplied in place but by the pass's last network
+    a_rows = np.empty((width, HIDDEN_WIDTH)) if mask is not None and len(nets) > 1 else None
     head_rows = np.empty((width, 2))
-    mus_rows, sigmas_rows = np.empty((2, k * width))
+    mus_rows, sigmas_rows = np.empty((2, len(nets) * passes * width))
     for rows in _row_blocks(n):
         m = rows.stop - rows.start
-        # contiguous (k, m) views, so the mixture's axis-0 sums run as on all rows
-        mus, sigmas = mus_rows[: k * m].reshape(k, m), sigmas_rows[: k * m].reshape(k, m)
+        # contiguous (k, groups * m) views, so the mixture's axis-0 sums run
+        # pass by pass in each column, as on all rows of one network
+        cols = len(groups) * m
+        mus, sigmas = mus_rows[: k * cols].reshape(k, cols), sigmas_rows[: k * cols].reshape(k, cols)
         block = x[rows]
-        for i, net in enumerate(nets):
-            h1 = _hidden(block, net.w1.value, net.b1.value, out=h1_rows[:m])
-            for p in range(passes):
+        for p in range(passes):
+            for j, net in enumerate(nets):
+                h1 = h1_rows[j % len(h1_rows)][:m]
+                if p == 0:
+                    _hidden(block, net.w1.value, net.b1.value, out=h1)
                 a = h1
                 if mask is not None:
-                    a = mask(p, 0, rows)
-                    a *= h1
+                    if j == 0:
+                        m1 = mask(p, 0, rows)
+                    a = np.multiply(h1, m1, out=m1 if j == len(nets) - 1 else a_rows[:m])
                 h2 = _hidden(a, net.w2.value, net.b2.value, out=h2_rows[:m])
                 if mask is not None:
-                    h2 *= mask(p, 1, rows)
-                mus[i * passes + p], sigmas[i * passes + p] = _head(h2, net, head_rows[:m])
-        block = aggregate_mc(mus, sigmas)
-        pred.mu[rows], pred.sigma[rows] = block.mu, block.sigma
-    return pred
+                    if j == 0:
+                        m2 = mask(p, 1, rows)
+                    h2 *= m2
+                group, i = divmod(j, size)
+                at = (i * passes + p, slice(group * m, (group + 1) * m))
+                mus[at], sigmas[at] = _head(h2, net, head_rows[:m])
+        mix = aggregate_mc(mus, sigmas) if m > 1 else None
+        for group, pred in enumerate(preds):
+            at = slice(group * m, (group + 1) * m)
+            if m == 1:
+                # numpy adds a (k, 1) axis pairwise, as the group's own call
+                # does at n = 1, and a wider one row by row: mix it alone
+                mix, at = aggregate_mc(mus[:, at], sigmas[:, at]), slice(None)
+            pred.mu[rows], pred.sigma[rows] = mix.mu[at], mix.sigma[at]
+    return preds
 
 
 @dataclass
@@ -461,28 +491,38 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     all n rows, then layer 2's. `Generator.random` takes one PCG64 output per
     double, so a block's mask for layer L of pass p is drawn from the seed's
     state advanced by ((2p + L) n + first row) * 128 outputs; each pass gives
-    every row the bits of an all-rows pass."""
-    if passes < 1:
-        raise ValueError(f"mc_dropout_predict: passes must be positive, got {passes}")
+    every row the bits of an all-rows pass.
+
+    `params` is one network, or a list of networks over the same rows under
+    the same seed, which gives a list of predictions: each mask is drawn
+    once and serves every network, and each prediction has the bits of its
+    network's call alone."""
+    if isinstance(passes, bool) or not isinstance(passes, Integral) or passes < 1:
+        raise ValueError(f"mc_dropout_predict: passes must be a positive integer, got {passes!r}")
     if not 0.0 < dropout_rate < 1.0:
         raise ValueError(
             f"mc_dropout_predict: dropout_rate must be in (0, 1), got {dropout_rate}"
         )
-    x = _check_input(x, params.w1.value)
+    nets = [params] if isinstance(params, MlpParams) else list(params)
+    if not nets:
+        raise ValueError("mc_dropout_predict: empty network list")
+    x = _check_input(x, nets[0].w1.value)
     n = len(x)
     rng = np.random.default_rng(seed)
     start = rng.bit_generator.state
     keep = 1.0 - dropout_rate
-    # a block's layer-2 input mask, then its layer-2 output's
-    scratch = np.empty((min(n, _BLOCK_ROWS), HIDDEN_WIDTH))
+    # one network takes a block's layer-2 input mask and then its layer-2
+    # output's in one buffer; several networks share both masks of a pass
+    scratch = np.empty((min(len(nets), 2), min(n, _BLOCK_ROWS), HIDDEN_WIDTH))
 
     def mask(p, layer, rows):
         """The keep-scaled mask of `layer` in pass p for the rows `rows`."""
         rng.bit_generator.state = start
         rng.bit_generator.advance(((2 * p + layer) * n + rows.start) * HIDDEN_WIDTH)
-        return _keep_mask(rng, keep, scratch[: rows.stop - rows.start])
+        return _keep_mask(rng, keep, scratch[layer % len(scratch), : rows.stop - rows.start])
 
-    return _blockwise([params], x, passes, mask)
+    preds = _blockwise([[net] for net in nets], x, passes, mask)
+    return preds[0] if isinstance(params, MlpParams) else preds
 
 
 def _column_range(x):
@@ -516,7 +556,7 @@ def ensemble_predict(members, x):
     """Moment-matched Gaussian over one pass of each member (`_blockwise`)."""
     if not members:
         raise ValueError("ensemble_predict: empty member list")
-    return _blockwise(members, x)
+    return _blockwise([members], x)[0]
 
 
 def save_params(params, path):

@@ -319,6 +319,56 @@ def test_recalibrate_on_a_wider_csv_exits_1_naming_the_run(tmp_path, capsys):
     assert "Traceback" not in err and not (out / "maps").exists()
 
 
+def count_mc_calls(monkeypatch):
+    """The network count of every `cli.mc_dropout_predict` call, 1 for a
+    single network."""
+    calls, predict = [], cli.mc_dropout_predict
+
+    def spy(nets, *args, **kwargs):
+        calls.append(len(nets) if isinstance(nets, list) else 1)
+        return predict(nets, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "mc_dropout_predict", spy)
+    return calls
+
+
+@pytest.mark.parametrize("calib_split", ["train", "holdout"])
+def test_every_lambda_of_a_split_is_predicted_in_one_call(tmp_path, monkeypatch, calib_split):
+    # S splits and L lambdas: one call per split for the test rows, and in
+    # recalibrate one more for the calibration rows, each of L networks
+    splits, lambdas = 2, [0.0, 5.0, 20.0]
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"n_splits": splits, "lambdas": lambdas, "epochs": 1,
+                                  "calib_split": calib_split})
+    calls = count_mc_calls(monkeypatch)
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == [len(lambdas)] * splits
+    calls.clear()
+    assert main(["recalibrate", "--out", str(out)]) == 0
+    assert calls == [len(lambdas)] * 2 * splits
+
+
+def test_a_failure_in_the_shared_prediction_names_its_lambda(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"n_splits": 2, "lambdas": [0.0, 20.0], "epochs": 1})
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    # only split 0's lambda-20 network overflows layer 2, inside the call it
+    # shares with lambda 0
+    path = out / "models" / "mc_dropout_lam20_split0.bin"
+    params = cli.load_params(path)
+    params.b1.value.fill(1.0)
+    params.w2.value.fill(1e308)
+    cli.save_params(params, path)
+    calls = count_mc_calls(monkeypatch)
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["recalibrate", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: split 0, lam=20: mlp: non-finite values in a pre-activation\n")
+    # the shared call, then lambda 0 and lambda 20 alone
+    assert calls == [2, 1, 1] and not (out / "maps").exists()
+
+
 def write_table(path, values, cell="{!r}"):
     path.write_text("x,y\n" + "".join(
         ",".join(cell.format(float(v)) for v in row) + "\n" for row in values))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit as scipy_expit
 
@@ -21,7 +21,7 @@ from quantcal import cli, models
 from quantcal import ndgrad as nd
 from quantcal.ckl import total_loss
 from quantcal.datasets import Dataset, fit_standardization, standardized_view, synth_hetero
-from quantcal.gaussian import GaussianPrediction, aggregate_ensemble, gaussian_nll
+from quantcal.gaussian import GaussianPrediction, aggregate_ensemble, aggregate_mc, gaussian_nll
 from quantcal.models import (
     HIDDEN_WIDTH,
     AdamState,
@@ -546,6 +546,72 @@ def test_mc_dropout_validation():
         mlp_forward(params, np.ones((2, 2)), masks)
 
 
+@pytest.mark.parametrize("passes", [2.5, 2.0, True, "3", None])
+def test_mc_dropout_passes_must_be_an_integer(passes):
+    params = init_mlp(2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="mc_dropout_predict: passes must be a positive integer"):
+        mc_dropout_predict(params, np.ones((2, 2)), passes=passes)
+    assert len(mc_dropout_predict(params, np.ones((2, 2)), passes=np.int64(3)).mu) == 2
+
+
+def test_mc_dropout_rejects_an_empty_network_list():
+    with pytest.raises(ValueError, match="mc_dropout_predict: empty network list"):
+        mc_dropout_predict([], np.ones((2, 2)))
+    with pytest.raises(ValueError, match="ensemble_predict: empty member list"):
+        ensemble_predict([], np.ones((2, 2)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=12),
+    st.one_of(st.integers(min_value=1, max_value=1030),
+              st.integers(min_value=3903, max_value=4200)),
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from([0.05, 0.25, 0.5, 0.9]),
+    st.booleans(),
+)
+# at one row numpy adds a network's 8 or more passes pairwise, and several
+# networks' side by side row by row, unless each is mixed alone
+@example(seed=0, k=2, d=1, n=1, passes=8, rate=0.05, view=False)
+def test_mc_dropout_predict_of_a_list_is_each_network_alone_bitwise(seed, k, d, n, passes,
+                                                                    rate, view):
+    # one call draws each mask once for all k networks; each prediction
+    # must have the bits of its network's call alone, on an array or on a
+    # standardized row view, across the 512-row block edges
+    rng = np.random.default_rng(seed)
+    nets = [random_params(rng, d) for _ in range(k)]
+    x = rng.normal(size=(n + 3, d)) * rng.uniform(0.5, 20.0, d)
+    if view:
+        ds = Dataset(x, rng.normal(size=n + 3))
+        tf = fit_standardization(ds, np.arange(n + 3))
+        x = standardized_view(ds, np.sort(rng.permutation(n + 3)[:n]), tf).features
+    else:
+        x = x[:n]
+    got = mc_dropout_predict(nets, x, passes=passes, dropout_rate=rate, seed=seed)
+    assert isinstance(got, list) and len(got) == k
+    for net, pred in zip(nets, got):
+        alone = mc_dropout_predict(net, x, passes=passes, dropout_rate=rate, seed=seed)
+        assert_same_bytes([pred.mu, pred.sigma], [alone.mu, alone.sigma])
+
+
+def test_mc_dropout_predict_of_a_list_mixes_each_block_once(monkeypatch):
+    # the k networks' means and sigmas of a block go to one aggregate_mc
+    # call, laid out as (passes, k * block rows)
+    shapes = []
+
+    def spy(mus, sigmas):
+        shapes.append(mus.shape)
+        return aggregate_mc(mus, sigmas)
+
+    monkeypatch.setattr(models, "aggregate_mc", spy)
+    rng = np.random.default_rng(0)
+    nets = [random_params(rng, 3) for _ in range(3)]
+    mc_dropout_predict(nets, rng.normal(size=(1025, 3)), passes=4)
+    assert shapes == [(4, 3 * 341), (4, 3 * 342), (4, 3 * 342)]
+
+
 def traced_peak(forward, n, **kwargs):
     """Traced peak bytes of `forward(params, x, **kwargs)` on n rows of 3
     features."""
@@ -588,6 +654,26 @@ def test_mc_dropout_predict_masks_stay_block_sized():
             assert peak < block_scratch(n, passes, 3.5), (n, passes, peak)
             if passes == 10 and n > 3907:
                 assert peak <= 2.5 * 2**20, (n, peak)
+
+
+def test_mc_dropout_predict_of_a_list_stays_block_sized():
+    # five networks under shared masks: their h1s, the pass's two masks, the
+    # masked layer-2 input and h2 of a block, half an array for the head
+    # output and the finite checks, each block's passes' means and sigmas
+    # for all five, and the five (n,) predictions. A mask that serves five
+    # networks is not multiplied in place, as one network's is
+    k, n = 5, 9146
+    rng = np.random.default_rng(0)
+    nets = [init_mlp(3, rng) for _ in range(k)]
+    x = rng.normal(size=(n, 3))
+    for passes in (1, 10, 30):
+        tracemalloc.start()
+        try:
+            mc_dropout_predict(nets, x, passes=passes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block_scratch(k * n, k * passes, k + 4.5), (passes, peak)
 
 
 def test_predict_scratch_stays_block_sized():
