@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -248,19 +249,18 @@ def _data_digest(ds):
 
 
 def _split_runs(cfg, ds, lambdas, members_of):
-    """The split loop every verb shares. Yields (split, fit, calib, test_idx,
-    transform, runs) per seeded split: the standardized rows the models
-    train on and those that fit the calibration map, the test rows, the
-    standardization fitted on the training rows, and per lambda a run (lam,
-    members, pred, pits): `members_of(lam, split, fit)` and their test
-    prediction under the split's seed with its PITs. Every lambda's members
-    are got before one `_predict` call predicts the test rows for all of
-    them, so MC dropout draws each mask once for the split. `holdout` carves
-    a seeded fifth of the train split off before training so the map never
-    sees training rows; otherwise `calib` is `fit` itself. The standardized
-    sets are views of `ds` (`standardized_view`), standardized a batch or
-    row block at a time as they are read, so a run holds the loaded table
-    once. A failure is named by its split and lambda (`_run_named`)."""
+    """The split loop `train`, `sweep` and `recalibrate` share; it predicts
+    nothing. Yields (split, fit, calib, test_idx, transform, members) per
+    seeded split: the standardized rows the models train on and those that
+    fit the calibration map, the test row indices, the standardization
+    fitted on the training rows, and per lambda `members_of(lam, split,
+    fit)`, got for every lambda before the split is yielded so that one
+    `_predict` call can predict them all. `holdout` carves a seeded fifth
+    of the train split off before training so the map never sees training
+    rows; otherwise `calib` is `fit` itself. The standardized sets are views
+    of `ds` (`standardized_view`), standardized a batch or row block at a
+    time as they are read, so a run holds the loaded table once. A failure
+    is named by its split and lambda (`_run_named`)."""
     for split, (train_idx, test_idx) in enumerate(make_splits(len(ds), cfg.split_spec())):
         fit_idx = calib_idx = train_idx
         if cfg.calib_split == "holdout":
@@ -271,19 +271,11 @@ def _split_runs(cfg, ds, lambdas, members_of):
         transform = fit_standardization(ds, fit_idx)
         fit = standardized_view(ds, fit_idx, transform)
         calib = fit if calib_idx is fit_idx else standardized_view(ds, calib_idx, transform)
-        test = standardized_view(ds, test_idx, transform)
         members = []
         for lam in lambdas:
             with _run_named(split, lam):
                 members.append(members_of(lam, split, fit))
-        seed = cfg.train_seed(split) + PREDICT_SEED_OFFSET
-        runs = []
-        for lam, run_members, pred in zip(
-            lambdas, members, _predict(cfg, split, lambdas, members, test.features, seed)
-        ):
-            with _run_named(split, lam):
-                runs.append((lam, run_members, pred, pit(pred, test.targets)))
-        yield split, fit, calib, test_idx, transform, runs
+        yield split, fit, calib, test_idx, transform, members
 
 
 @contextlib.contextmanager
@@ -330,6 +322,38 @@ def _artifact_paths(out_dir, cfg, lam, split):
     return [Path(f"{stem}_m{j}.bin") for j in range(cfg.ensemble_size)]
 
 
+def _pits_path(out_dir, cfg, lam, split):
+    return out_dir / "pits" / f"{cfg.model}_lam{lam:g}_split{split}.npy"
+
+
+def _load_pits(path, n_test):
+    """The test PITs `train` saved at `path` for a split of `n_test` test
+    rows. A missing file raises ConfigError; anything but a float64
+    (n_test,) .npy array of values in [0, 1] raises a ValueError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            # np.load reads a zip archive or a pickle too; only an array will do
+            is_npy = fh.read(6) == b"\x93NUMPY"
+    except FileNotFoundError:
+        raise ConfigError(f"{path} not found; run `quantcal train` again to write it") from None
+    try:
+        if not is_npy:
+            raise ValueError("not a .npy file")
+        # mapped, so a header that claims a huge shape allocates nothing; its
+        # size may overflow, which then fails as a ValueError, not a warning
+        with np.errstate(over="ignore"):
+            mapped = np.load(path, mmap_mode="r", allow_pickle=False)
+        if mapped.dtype != np.float64 or mapped.shape != (n_test,):
+            raise ValueError(f"expected {n_test} float64 values, got {mapped.dtype} of shape "
+                             f"{mapped.shape}")
+        pits = np.array(mapped)
+        if not np.all((pits >= 0.0) & (pits <= 1.0)):  # NaN included
+            raise ValueError("values outside [0, 1]")
+    except (ValueError, TypeError, OSError) as exc:
+        raise ValueError(f"{path} is not a PIT file of the split's test rows: {exc}") from None
+    return pits
+
+
 def _summarize(metric_rows):
     """(dataset, model, lam) -> metric -> (mean, std). Sample std, 0 for a
     single value."""
@@ -361,8 +385,9 @@ def _write_summary(out_dir, summary):
 
 
 def _run_experiment(cfg, lambdas):
-    """Train every (lambda, split) pair; returns metric rows, reliability
-    rows, the trained members keyed by (lam, split) and the data's digest."""
+    """Train every (lambda, split) pair and predict its test rows; returns
+    metric rows, reliability rows, the trained members and the test PITs
+    keyed by (lam, split), and the data's digest."""
     ds = _load_base_dataset(cfg)
     # after the data loads, so a dataset that fails leaves no --out, and before
     # any model trains, so an --out that cannot be made costs no run
@@ -378,8 +403,14 @@ def _run_experiment(cfg, lambdas):
     metric_rows = []
     reliability_rows = []
     members_by_run = {}
-    for split, fit, _, test_idx, transform, runs in _split_runs(cfg, ds, lambdas, members_of):
-        for lam, members, pred, pits in runs:
+    pits_by_run = {}
+    for split, fit, _, test_idx, transform, members in _split_runs(cfg, ds, lambdas, members_of):
+        test = standardized_view(ds, test_idx, transform)
+        seed = cfg.train_seed(split) + PREDICT_SEED_OFFSET
+        preds = _predict(cfg, split, lambdas, members, test.features, seed)
+        for lam, run_members, pred in zip(lambdas, members, preds):
+            with _run_named(split, lam):
+                pits = pit(pred, test.targets)
             report = MetricsReport.evaluate(
                 transform.inverse_predictions(pred), ds.targets[test_idx], pits, mcfg
             )
@@ -388,12 +419,18 @@ def _run_experiment(cfg, lambdas):
             metric_rows.append(dict(zip(METRICS_FIELDS, row)))
             for expected, observed in report.reliability:
                 reliability_rows.append((cfg.dataset, cfg.model, lam, split, expected, observed))
-            members_by_run[(lam, split)] = members
-    return metric_rows, reliability_rows, members_by_run, _data_digest(ds)
+            members_by_run[(lam, split)] = run_members
+            pits_by_run[(lam, split)] = pits
+    return metric_rows, reliability_rows, members_by_run, pits_by_run, _data_digest(ds)
 
 
-def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary,
-                       digest):
+def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, pits_by_run,
+                       summary, digest):
+    # an earlier run's recalibration would be reported beside these metrics
+    (out_dir / "recalib.csv").unlink(missing_ok=True)
+    for stale in (out_dir / "maps", out_dir / "pits"):
+        if stale.exists():
+            shutil.rmtree(stale)
     write_csv(out_dir / "metrics.csv", METRICS_FIELDS, [r.values() for r in metric_rows])
     write_csv(out_dir / "reliability.csv", RELIABILITY_FIELDS, reliability_rows)
     _write_summary(out_dir, summary)
@@ -401,6 +438,9 @@ def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_r
     for (lam, split), members in members_by_run.items():
         for member, path in zip(members, _artifact_paths(out_dir, cfg, lam, split)):
             save_params(member, path)
+    (out_dir / "pits").mkdir()
+    for (lam, split), pits in pits_by_run.items():
+        np.save(_pits_path(out_dir, cfg, lam, split), pits, allow_pickle=False)
     resolved = dataclasses.asdict(cfg)
     resolved["version"] = __version__
     resolved[DIGEST_KEY] = digest
@@ -414,10 +454,11 @@ def cmd_train(cfg, command="train"):
     plus the trade-off curve in curve.csv."""
     lambdas = cfg.resolved_lambdas(command)
     out_dir = Path(cfg.out)
-    metric_rows, reliability_rows, members_by_run, digest = _run_experiment(cfg, lambdas)
+    metric_rows, reliability_rows, members_by_run, pits_by_run, digest = _run_experiment(
+        cfg, lambdas)
     summary = _summarize(metric_rows)
-    _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, summary,
-                       digest)
+    _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, pits_by_run,
+                       summary, digest)
     if command != "sweep":
         for (dataset, model, lam), stats in summary.items():
             mean, std = stats["calib_error"]
@@ -447,10 +488,12 @@ def cmd_train(cfg, command="train"):
 
 
 def cmd_recalibrate(cfg):
-    """Refit isotonic maps for the run in `cfg.out`, under its stored config.
-    Each split's models are loaded once (`_split_runs`), and one `_predict`
-    call predicts its calibration rows for every lambda under the split's
-    seed, as for the test rows."""
+    """Refit isotonic maps for the run in `cfg.out`, under its stored config,
+    and score them on the test PITs `train` saved under `pits/`. Every PIT
+    file is read and checked before any model loads. Each split's models
+    are loaded once (`_split_runs`), and one `_predict` call predicts its
+    calibration rows for every lambda under the split's seed: the only
+    inference the verb makes."""
     out_dir = Path(cfg.out)
     run_config_path = out_dir / "run_config.json"
     if not run_config_path.exists():
@@ -479,11 +522,13 @@ def cmd_recalibrate(cfg):
     maps = {}
     rows = []
     lambdas = cfg.resolved_lambdas("train")
-    for split, _, calib, _, _, runs in _split_runs(cfg, ds, lambdas, members_of):
+    n_test = cfg.split_spec().test_rows(len(ds))
+    pits_by_run = {(lam, split): _load_pits(_pits_path(out_dir, cfg, lam, split), n_test)
+                   for split in range(cfg.n_splits) for lam in lambdas}
+    for split, _, calib, _, _, members in _split_runs(cfg, ds, lambdas, members_of):
         seed = cfg.train_seed(split) + CALIB_SEED_OFFSET
-        preds = _predict(cfg, split, lambdas, [members for _, members, _, _ in runs],
-                         calib.features, seed)
-        for (lam, _, _, pits), pred in zip(runs, preds):
+        for lam, pred in zip(lambdas, _predict(cfg, split, lambdas, members, calib.features, seed)):
+            pits = pits_by_run[(lam, split)]
             cal_map = fit_calibration_map(pred, calib.targets)
             maps[f"{cfg.model}_lam{lam:g}_split{split}.csv"] = cal_map
             pre = calibration_error(pits, mcfg)

@@ -353,6 +353,10 @@ class SplitSpec:
         if self.seed < 0:
             raise ValueError(f"SplitSpec: seed must be nonnegative, got {self.seed}")
 
+    def test_rows(self, n):
+        """The number of test rows in each split of `n` rows."""
+        return min(max(int(round(n * self.test_fraction)), 1), n - 1)
+
 
 # the fewest rows `make_splits` takes, so both sides are nonempty at sensible fractions
 MIN_SPLIT_ROWS = 5
@@ -366,8 +370,7 @@ def make_splits(n, spec=SplitSpec()):
     """
     if n < MIN_SPLIT_ROWS:
         raise ValueError(f"make_splits: need at least {MIN_SPLIT_ROWS} rows, got {n}")
-    n_test = int(round(n * spec.test_fraction))
-    n_test = min(max(n_test, 1), n - 1)
+    n_test = spec.test_rows(n)
     rng = np.random.default_rng(spec.seed)
     splits = []
     for _ in range(spec.n_splits):

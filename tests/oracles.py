@@ -16,6 +16,9 @@ with each statistic one numpy call on all columns, as it was before the
 statistics were taken in column chunks. `reference_data_digest` is the run record's
 data digest as it was first written, which hashed a Fortran-ordered copy
 of the features; run directories recorded with it must still match.
+`reference_test_pits` predicts a run's test rows again from its saved
+models, one prediction per lambda on a standardized copy of the rows, as
+`recalibrate` did before it read the PITs that `train` saves.
 
 scipy.special is the oracle of the package's own `ndtr` and `expit`, which
 must equal it to the bit (`assert_same_bits`) on any float64
@@ -24,14 +27,19 @@ must equal it to the bit (`assert_same_bits`) on any float64
 
 import csv
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from quantcal import cli
 from quantcal import ndgrad as nd
-from quantcal.gaussian import GaussianPrediction
+from quantcal.datasets import make_splits
+from quantcal.gaussian import GaussianPrediction, pit
+from quantcal.models import ensemble_predict, load_params, mc_dropout_predict
 
 
 def assert_same_bits(got, want):
@@ -274,3 +282,36 @@ def reference_standardize(features, targets):
     t_mean, t_std = float(targets.mean()), float(targets.std())
     z = (features[:, kept] - mean[kept]) / std[kept]
     return z, (targets - t_mean) / t_std, mean[kept], std[kept], t_mean, t_std, kept
+
+
+def reference_test_pits(out_dir, command="train"):
+    """(lam, split) -> the test PITs of the run `command` wrote in
+    `out_dir`, from its stored config and saved models: each split's test
+    rows standardized by `reference_standardize`'s statistics of the rows
+    the models trained on, and predicted for each lambda alone under the
+    split's prediction seed."""
+    out_dir = Path(out_dir)
+    stored = json.loads((out_dir / "run_config.json").read_text())
+    cfg = cli.ExperimentConfig(**{k: v for k, v in stored.items()
+                                  if k not in ("version", cli.DIGEST_KEY)})
+    ds = cli._load_base_dataset(cfg)
+    pits = {}
+    for split, (train_idx, test_idx) in enumerate(make_splits(len(ds), cfg.split_spec())):
+        fit_idx = train_idx
+        if cfg.calib_split == "holdout":
+            perm = np.random.default_rng(cfg.train_seed(split) + 17).permutation(len(train_idx))
+            fit_idx = np.sort(train_idx[perm[max(1, int(round(0.2 * len(train_idx)))):]])
+        *_, mean, std, t_mean, t_std, kept = reference_standardize(ds.features[fit_idx],
+                                                                   ds.targets[fit_idx])
+        x = (ds.features[test_idx][:, kept] - mean) / std
+        y = (ds.targets[test_idx] - t_mean) / t_std
+        for lam in cfg.resolved_lambdas(command):
+            members = [load_params(path) for path in cli._artifact_paths(out_dir, cfg, lam, split)]
+            if cfg.model == "ensemble":
+                pred = ensemble_predict(members, x)
+            else:
+                pred = mc_dropout_predict(members[0], x, passes=cfg.mc_passes,
+                                          dropout_rate=cfg.dropout_rate,
+                                          seed=cfg.train_seed(split) + cli.PREDICT_SEED_OFFSET)
+            pits[(lam, split)] = pit(pred, y)
+    return pits

@@ -1,11 +1,14 @@
 import csv
 import dataclasses
+import io
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_data_digest
+from oracles import assert_same_bits, reference_data_digest, reference_test_pits
 from quantcal import cli, softsort
 from quantcal.cli import ExperimentConfig, main
 from quantcal.datasets import load_csv
@@ -297,6 +300,170 @@ def test_recalibrate_missing_artifact_exits_2_writing_nothing(tmp_path, capsys):
     assert not (out / "maps").exists() and not (out / "recalib.csv").exists()
 
 
+@pytest.mark.parametrize("model", cli.MODELS)
+@pytest.mark.parametrize("mode", cli.CALIB_SPLITS)
+def test_stored_pits_are_the_test_predictions_bit_for_bit(tmp_path, mode, model):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"calib_split": mode, "model": model, "ensemble_size": 2,
+                                  "epochs": 1})
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    reference = reference_test_pits(out)
+    names = {(lam, split): f"{model}_lam{lam:g}_split{split}.npy" for lam, split in reference}
+    assert sorted(p.name for p in (out / "pits").iterdir()) == sorted(names.values())
+    for run, want in reference.items():
+        assert_same_bits(np.load(out / "pits" / names[run]), want)
+    # recalibrate scores the maps on the PITs the reference gives
+    again = tmp_path / "again"
+    shutil.copytree(out, again)
+    for run, want in reference.items():
+        np.save(again / "pits" / names[run], want)
+    for run in (out, again):
+        assert main(["recalibrate", "--out", str(run)]) == 0
+    assert (out / "recalib.csv").read_bytes() == (again / "recalib.csv").read_bytes()
+    maps = sorted(p.name for p in (out / "maps").iterdir())
+    assert maps == sorted(p.name for p in (again / "maps").iterdir()) and len(maps) == len(reference)
+    for name in maps:
+        assert (out / "maps" / name).read_bytes() == (again / "maps" / name).read_bytes()
+
+
+def test_sweep_stores_the_pits_of_every_lambda(tmp_path):
+    out = tmp_path / "s"
+    cfg = write_config(tmp_path, {"synth_n": 80, "epochs": 1, "n_splits": 2, "mc_passes": 2})
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    reference = reference_test_pits(out, "sweep")
+    assert len(reference) == 5 * 2 and len(list((out / "pits").iterdir())) == len(reference)
+    for (lam, split), want in reference.items():
+        assert_same_bits(np.load(out / "pits" / f"mc_dropout_lam{lam:g}_split{split}.npy"), want)
+    assert main(["recalibrate", "--out", str(out)]) == 0
+
+
+def test_train_removes_an_earlier_runs_recalibration(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, {"epochs": 1}), "--out", str(out)]) == 0
+    assert main(["recalibrate", "--out", str(out)]) == 0
+    cfg = write_config(tmp_path, {"epochs": 1, "seed": 3, "lambdas": [5.0]}, name="again.json")
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert not (out / "recalib.csv").exists() and not (out / "maps").exists()
+    assert sorted(p.name for p in (out / "pits").iterdir()) == [
+        f"mc_dropout_lam5_split{split}.npy" for split in range(3)]
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    assert "recalibration" not in capsys.readouterr().out
+
+
+def test_recalibrate_without_stored_pits_exits_2_writing_nothing(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"synth_n": 60, "epochs": 1, "n_splits": 2, "mc_passes": 2})
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    # as in a run directory written before train stored them
+    shutil.rmtree(out / "pits")
+    calls = count_mc_calls(monkeypatch)
+    capsys.readouterr()
+    assert main(["recalibrate", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err, out / "pits" / "mc_dropout_lam0_split0.npy")
+    assert "quantcal train" in err
+    assert calls == [] and not (out / "maps").exists() and not (out / "recalib.csv").exists()
+
+
+def npy_bytes(array, allow_pickle=False):
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def npz_bytes(array):
+    buf = io.BytesIO()
+    np.savez(buf, array)
+    return buf.getvalue()
+
+
+def npy_header(shape, descr="<f8", fortran_order=False):
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"shape": shape, "fortran_order": fortran_order, "descr": descr})
+    return buf.getvalue()
+
+
+PIT_ROWS = 12  # the test rows of each split of `tiny_run`'s 60
+
+
+def pit_array(values, bad, dtype, shape):
+    values = np.array(values)
+    if bad is not None:
+        values[bad[0]] = bad[1]
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to int
+        return values.astype(dtype).reshape(shape)
+
+
+BAD_PITS = [float("nan"), float("inf"), -float("inf"), -1e-300, 1.0 + 2**-52, -0.5, 2.0]
+PIT_ARRAYS = st.builds(
+    pit_array,
+    st.lists(st.floats(0.0, 1.0), min_size=PIT_ROWS, max_size=PIT_ROWS),
+    st.none() | st.tuples(st.integers(0, PIT_ROWS - 1), st.sampled_from(BAD_PITS)),
+    st.just(np.float64) | st.sampled_from([np.float32, ">f8", np.int64, np.complex128]),
+    st.just((PIT_ROWS,)) | st.sampled_from([(PIT_ROWS, 1), (1, PIT_ROWS), (3, 4)]),
+) | st.lists(st.floats(0.0, 1.0), max_size=2 * PIT_ROWS).map(np.array)
+
+
+def is_pit_array(array):
+    return (array.dtype == np.float64 and array.shape == (PIT_ROWS,)
+            and bool(np.all((array >= 0.0) & (array <= 1.0))))
+
+
+# (file bytes, whether they are a valid PIT file of PIT_ROWS rows)
+PIT_FILES = st.one_of(
+    st.binary(max_size=200).map(lambda b: (b, False)),
+    st.binary(max_size=200).map(lambda b: (b"\x93NUMPY" + b, False)),
+    PIT_ARRAYS.map(lambda a: (npy_bytes(a), is_pit_array(a))),
+    st.tuples(PIT_ARRAYS, st.integers(0, 300)).map(
+        lambda t: (npy_bytes(t[0])[:t[1]], is_pit_array(t[0]) and t[1] >= len(npy_bytes(t[0])))),
+    # a header claiming any shape, with a few rows of data after it
+    st.tuples(st.lists(st.integers(-2, 2**62) | st.just(PIT_ROWS), max_size=2).map(tuple),
+              st.sampled_from(["<f8", "|O", "<f4", "|u1"]), st.booleans()).map(
+        lambda t: (npy_header(*t) + b"\0" * 8 * PIT_ROWS, t[0] == (PIT_ROWS,) and t[1] == "<f8")),
+    PIT_ARRAYS.map(lambda a: (npy_bytes(a.astype(object), allow_pickle=True), False)),
+    PIT_ARRAYS.map(lambda a: (pickle.dumps(a), False)),
+    PIT_ARRAYS.map(lambda a: (npz_bytes(a), False)),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pit_file=PIT_FILES)
+@example(pit_file=(npy_header((10**15,)) + b"\0" * 8, False))
+@example(pit_file=(npy_header((2**62, 2**62)) + b"\0" * 8, False))
+@example(pit_file=(npy_bytes(np.full(PIT_ROWS, 0.5)), True))
+@example(pit_file=(npy_bytes(np.full(PIT_ROWS, np.nan)), False))
+# a header that numpy's parser fails on with a TypeError
+@example(pit_file=(b"\x93NUMPY\x01\x00\x08\x00{[]: 1}\n", False))
+def test_recalibrate_reads_any_pit_file_or_names_it_once(tiny_run, tmp_path, capsys, monkeypatch,
+                                                         pit_file):
+    run = tmp_path / "run"
+    if not run.exists():
+        shutil.copytree(tiny_run, run)
+    body, valid = pit_file
+    # split 1's, so a prediction of split 0 would come first if files were read per split
+    path = run / "pits" / "mc_dropout_lam0_split1.npy"
+    path.write_bytes(body)
+    calls = count_mc_calls(monkeypatch)
+    capsys.readouterr()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be one more stderr line
+            rc = main(["recalibrate", "--out", str(run)])
+    finally:
+        monkeypatch.undo()
+    err = capsys.readouterr().err
+    if valid:
+        assert rc == 0 and err == ""
+        shutil.rmtree(run / "maps")
+        (run / "recalib.csv").unlink()
+    else:
+        assert rc == 1 and err.count("\n") == 1 and err.count(str(path)) == 1, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert calls == [] and not (run / "maps").exists() and not (run / "recalib.csv").exists()
+
+
 def test_recalibrate_on_a_wider_csv_exits_1_naming_the_run(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("x,y\n" + "".join(f"{i * 0.1},{i * 0.2}\n" for i in range(60)))
@@ -334,8 +501,9 @@ def count_mc_calls(monkeypatch):
 
 @pytest.mark.parametrize("calib_split", ["train", "holdout"])
 def test_every_lambda_of_a_split_is_predicted_in_one_call(tmp_path, monkeypatch, calib_split):
-    # S splits and L lambdas: one call per split for the test rows, and in
-    # recalibrate one more for the calibration rows, each of L networks
+    # S splits and L lambdas, each call of L networks: in train one per split
+    # for the test rows, and in recalibrate, which reads the test PITs train
+    # saved, one per split for the calibration rows
     splits, lambdas = 2, [0.0, 5.0, 20.0]
     out = tmp_path / "run"
     cfg = write_config(tmp_path, {"n_splits": splits, "lambdas": lambdas, "epochs": 1,
@@ -345,7 +513,7 @@ def test_every_lambda_of_a_split_is_predicted_in_one_call(tmp_path, monkeypatch,
     assert calls == [len(lambdas)] * splits
     calls.clear()
     assert main(["recalibrate", "--out", str(out)]) == 0
-    assert calls == [len(lambdas)] * 2 * splits
+    assert calls == [len(lambdas)] * splits
 
 
 def test_a_failure_in_the_shared_prediction_names_its_lambda(tmp_path, capsys, monkeypatch):
