@@ -24,7 +24,7 @@ import json
 import math
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -290,29 +290,18 @@ def _run_named(split, lam):
 
 
 def _predict(cfg, split, lambdas, members, x, seed):
-    """Each lambda's prediction of `x` under `seed`, from its members. MC
-    dropout predicts every lambda's network in one call under one set of
-    masks. If that call fails, each network is run alone in lambda order,
-    so the failure is named by the first lambda that fails alone, as in
-    one call per lambda; a failure of the shared call only is named by the
-    first lambda."""
-    if cfg.model == "ensemble":
-        preds = []
-        for lam, run_members in zip(lambdas, members):
-            with _run_named(split, lam):
-                preds.append(ensemble_predict(run_members, x))
-        return preds
-    nets = [run_members[0] for run_members in members]
-    kwargs = dict(passes=cfg.mc_passes, dropout_rate=cfg.dropout_rate, seed=seed)
+    """Each lambda's prediction of `x` under `seed`, from its members, in one
+    call for either model; MC dropout draws each mask once for all lambdas.
+    A failure is named by the lambda whose network or mixture raised it (the
+    group `_blockwise` tags), else by the first lambda."""
     try:
-        return mc_dropout_predict(nets, x, **kwargs)
+        if cfg.model == "ensemble":
+            return ensemble_predict(members, x)
+        return mc_dropout_predict([run_members[0] for run_members in members], x,
+                                  passes=cfg.mc_passes, dropout_rate=cfg.dropout_rate, seed=seed)
     except (RuntimeError, ValueError, MemoryError) as exc:
-        failure = exc
-    for lam, net in zip(lambdas, nets):
-        with _run_named(split, lam):
-            mc_dropout_predict(net, x, **kwargs)
-    with _run_named(split, lambdas[0]):
-        raise failure
+        with _run_named(split, lambdas[getattr(exc, "group", 0)]):
+            raise
 
 
 def _artifact_paths(out_dir, cfg, lam, split):
@@ -426,15 +415,17 @@ def _run_experiment(cfg, lambdas):
 
 def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_run, pits_by_run,
                        summary, digest):
-    # an earlier run's recalibration would be reported beside these metrics
-    (out_dir / "recalib.csv").unlink(missing_ok=True)
-    for stale in (out_dir / "maps", out_dir / "pits"):
+    # an earlier run's curve, report, models and recalibration would be
+    # shown beside these metrics
+    for name in ("recalib.csv", "curve.csv", "report.txt"):
+        (out_dir / name).unlink(missing_ok=True)
+    for stale in (out_dir / "maps", out_dir / "pits", out_dir / "models"):
         if stale.exists():
             shutil.rmtree(stale)
     write_csv(out_dir / "metrics.csv", METRICS_FIELDS, [r.values() for r in metric_rows])
     write_csv(out_dir / "reliability.csv", RELIABILITY_FIELDS, reliability_rows)
     _write_summary(out_dir, summary)
-    (out_dir / "models").mkdir(exist_ok=True)
+    (out_dir / "models").mkdir()
     for (lam, split), members in members_by_run.items():
         for member, path in zip(members, _artifact_paths(out_dir, cfg, lam, split)):
             save_params(member, path)
@@ -452,8 +443,9 @@ def _write_run_outputs(cfg, out_dir, metric_rows, reliability_rows, members_by_r
 def cmd_train(cfg, command="train"):
     """`train`, or `sweep`: the same run over a wider default lambda grid,
     plus the trade-off curve in curve.csv."""
-    lambdas = cfg.resolved_lambdas(command)
-    out_dir = Path(cfg.out)
+    # stored as run, so `recalibrate` reads these lambdas, not a verb's default
+    cfg = replace(cfg, lambdas=cfg.resolved_lambdas(command))
+    lambdas, out_dir = cfg.lambdas, Path(cfg.out)
     metric_rows, reliability_rows, members_by_run, pits_by_run, digest = _run_experiment(
         cfg, lambdas)
     summary = _summarize(metric_rows)

@@ -14,24 +14,23 @@ network is one fused op plus one node per head column (`mlp_forward`).
 Inference (`predict`, `mc_dropout_predict`, `ensemble_predict`) is one
 numpy loop off the tape, `_blockwise`, mixing passes of groups of
 networks: one pass of one, masked passes of one, one of each ensemble
-member, or masked passes of each of several networks kept apart, which
-share every mask, so MC dropout draws it once for all of them. It
-walks the fewest row blocks of at most 512 rows, split as evenly as
-possible (`_row_blocks`), so its scratch is a few (512, 128) arrays at
-any n, pass count and ensemble size (and one h1 per network), and every
-row gets the bits of an all-rows pass. The (rows, 128) @ (128, 2) head
-is numpy's einsum loop, not BLAS, in training and inference alike
-(`_head_out`): each of a row's two dot products adds in one fixed
-order, so its bits depend on neither n, the block layout nor OpenBLAS's
-gemm paths, and there is no row grid to keep. Layers 1 and 2 use BLAS
-and gave the all-rows bits on these blocks on the OpenBLAS build
-measured, layer 1 even where a block takes the small-matrix path and all
-rows do not (d <= 15 at 512 rows), which the tests check for d 1-19; a
-one-row block would go to gemv, so none has one row. One `aggregate_mc` call mixes each block's passes of all
-groups; its axis-0 means add pass by pass per column, as one all-rows
-call over one group's stacked passes does, and the mixture of one pass
-is that pass. A one-row block (n = 1) mixes each group alone: numpy adds
-a (passes, 1) axis pairwise, not pass by pass.
+member, or a list of such groups kept apart, where masked passes share
+every mask, so MC dropout draws it once for all networks. It walks the
+fewest row blocks of at most 512 rows, split as evenly as possible
+(`_row_blocks`), so its scratch is a few (512, 128) arrays at any n,
+pass count and ensemble size (and one h1 per network), and every row
+gets the bits of an all-rows pass. The (rows, 128) @ (128, 2) head is
+numpy's einsum loop, not BLAS, in training and inference alike
+(`_head_out`): each of a row's two dot products adds in one fixed order,
+so its bits depend on neither n, the block layout nor OpenBLAS's gemm
+paths, and there is no row grid to keep. Layers 1 and 2 use BLAS and
+gave the all-rows bits on these blocks on the OpenBLAS build measured,
+layer 1 even where a block takes the small-matrix path and all rows do
+not (d <= 15 at 512 rows), which the tests check for d 1-19; a one-row
+block would go to gemv, so none has one row. One `aggregate_mc` call per
+group mixes each block's passes; its axis-0 means add pass by pass per
+column, as one all-rows call over the group's stacked passes does, and
+the mixture of one pass is that pass.
 
 Training and inference read their input by row indexing, one batch or
 block at a time, so the input may be an array or a standardized row view
@@ -295,59 +294,60 @@ def _blockwise(groups, x, passes=1, mask=None):
     rows)` if a mask is given, and the head (`_head`). A pass's two masks
     are taken at its first network and serve them all; the last multiplies
     its layer-2 input into the first mask in place, as `mask` draws it anew
-    for the next pass. One `aggregate_mc` call mixes the block's contiguous
-    (networks per group * passes, groups * block rows) means and sigmas,
-    the groups' block rows side by side, or one call per group if the block
-    is one row. Block-sized h1s (one per network when it makes several
-    passes), masked layer-2 input, h2 and head output are all the scratch;
-    only the (n,) outputs span all rows."""
+    for the next pass. Each group's block is mixed by its own `aggregate_mc`
+    call on a contiguous (networks per group * passes, block rows) slab, the
+    layout of the group's call alone. A failure is tagged with the index of
+    the group whose network or mixture raised it, as `exc.group`.
+    Block-sized h1s (one per network when it makes several passes), masked
+    layer-2 input, h2 and head output are all the scratch; only the (n,)
+    outputs span all rows."""
     nets = [net for group in groups for net in group]
-    for net in nets:
-        x = _check_input(x, net.w1.value)
-    n, size = len(x), len(groups[0])
-    # filled in place from each block's checked and floored mixture, so no
-    # (n,) copy is made for a final check and floor
-    preds = [GaussianPrediction(np.zeros(n), np.ones(n)) for _ in groups]
-    width, k = min(n, _BLOCK_ROWS), size * passes
-    # a network keeps its h1 through its passes; one pass uses it at once
-    *h1_rows, h2_rows = np.empty(((len(nets) if passes > 1 else 1) + 1, width, HIDDEN_WIDTH))
-    # a shared mask is not multiplied in place but by the pass's last network
-    a_rows = np.empty((width, HIDDEN_WIDTH)) if mask is not None and len(nets) > 1 else None
-    head_rows = np.empty((width, 2))
-    mus_rows, sigmas_rows = np.empty((2, len(nets) * passes * width))
-    for rows in _row_blocks(n):
-        m = rows.stop - rows.start
-        # contiguous (k, groups * m) views, so the mixture's axis-0 sums run
-        # pass by pass in each column, as on all rows of one network
-        cols = len(groups) * m
-        mus, sigmas = mus_rows[: k * cols].reshape(k, cols), sigmas_rows[: k * cols].reshape(k, cols)
-        block = x[rows]
-        for p in range(passes):
-            for j, net in enumerate(nets):
-                h1 = h1_rows[j % len(h1_rows)][:m]
-                if p == 0:
-                    _hidden(block, net.w1.value, net.b1.value, out=h1)
-                a = h1
-                if mask is not None:
-                    if j == 0:
-                        m1 = mask(p, 0, rows)
-                    a = np.multiply(h1, m1, out=m1 if j == len(nets) - 1 else a_rows[:m])
-                h2 = _hidden(a, net.w2.value, net.b2.value, out=h2_rows[:m])
-                if mask is not None:
-                    if j == 0:
-                        m2 = mask(p, 1, rows)
-                    h2 *= m2
-                group, i = divmod(j, size)
-                at = (i * passes + p, slice(group * m, (group + 1) * m))
-                mus[at], sigmas[at] = _head(h2, net, head_rows[:m])
-        mix = aggregate_mc(mus, sigmas) if m > 1 else None
-        for group, pred in enumerate(preds):
-            at = slice(group * m, (group + 1) * m)
-            if m == 1:
-                # numpy adds a (k, 1) axis pairwise, as the group's own call
-                # does at n = 1, and a wider one row by row: mix it alone
-                mix, at = aggregate_mc(mus[:, at], sigmas[:, at]), slice(None)
-            pred.mu[rows], pred.sigma[rows] = mix.mu[at], mix.sigma[at]
+    size, group = len(groups[0]), 0
+    try:
+        for j, net in enumerate(nets):
+            group = j // size
+            x = _check_input(x, net.w1.value)
+        n = len(x)
+        # filled in place from each block's checked and floored mixture, so
+        # no (n,) copy is made for a final check and floor
+        preds = [GaussianPrediction(np.zeros(n), np.ones(n)) for _ in groups]
+        width, k = min(n, _BLOCK_ROWS), size * passes
+        # a network keeps its h1 through its passes; one pass uses it at once
+        *h1_rows, h2_rows = np.empty(((len(nets) if passes > 1 else 1) + 1, width, HIDDEN_WIDTH))
+        # a shared mask is not multiplied in place but by the pass's last network
+        a_rows = np.empty((width, HIDDEN_WIDTH)) if mask is not None and len(nets) > 1 else None
+        head_rows = np.empty((width, 2))
+        mus_rows, sigmas_rows = np.empty((2, len(nets) * passes * width))
+        for rows in _row_blocks(n):
+            m = rows.stop - rows.start
+            # one contiguous (k, m) slab per group
+            mus, sigmas = (buf[: len(groups) * k * m].reshape(len(groups), k, m)
+                           for buf in (mus_rows, sigmas_rows))
+            block = x[rows]
+            for p in range(passes):
+                for j, net in enumerate(nets):
+                    group, i = divmod(j, size)
+                    h1 = h1_rows[j % len(h1_rows)][:m]
+                    if p == 0:
+                        _hidden(block, net.w1.value, net.b1.value, out=h1)
+                    a = h1
+                    if mask is not None:
+                        if j == 0:
+                            m1 = mask(p, 0, rows)
+                        a = np.multiply(h1, m1, out=m1 if j == len(nets) - 1 else a_rows[:m])
+                    h2 = _hidden(a, net.w2.value, net.b2.value, out=h2_rows[:m])
+                    if mask is not None:
+                        if j == 0:
+                            m2 = mask(p, 1, rows)
+                        h2 *= m2
+                    at = (group, i * passes + p)
+                    mus[at], sigmas[at] = _head(h2, net, head_rows[:m])
+            for group, pred in enumerate(preds):
+                mix = aggregate_mc(mus[group], sigmas[group])
+                pred.mu[rows], pred.sigma[rows] = mix.mu, mix.sigma
+    except (ValueError, MemoryError) as exc:
+        exc.group = group
+        raise
     return preds
 
 
@@ -493,10 +493,9 @@ def mc_dropout_predict(params, x, passes=10, dropout_rate=0.25, seed=0):
     state advanced by ((2p + L) n + first row) * 128 outputs; each pass gives
     every row the bits of an all-rows pass.
 
-    `params` is one network, or a list of networks over the same rows under
-    the same seed, which gives a list of predictions: each mask is drawn
-    once and serves every network, and each prediction has the bits of its
-    network's call alone."""
+    `params` is one network, or a list of networks, which gives a list of
+    predictions, each with the bits of its network's call alone: each mask
+    is drawn once and serves every network."""
     if isinstance(passes, bool) or not isinstance(passes, Integral) or passes < 1:
         raise ValueError(f"mc_dropout_predict: passes must be a positive integer, got {passes!r}")
     if not 0.0 < dropout_rate < 1.0:
@@ -553,10 +552,16 @@ def ensemble_train(dataset, cfg, ens_cfg=EnsembleConfig()):
 
 
 def ensemble_predict(members, x):
-    """Moment-matched Gaussian over one pass of each member (`_blockwise`)."""
-    if not members:
-        raise ValueError("ensemble_predict: empty member list")
-    return _blockwise([members], x)[0]
+    """Moment-matched Gaussian over one pass of each member (`_blockwise`).
+    `members` is one member list, or a list of member lists of one size,
+    which gives a list of predictions, each with the bits of its list's
+    call alone."""
+    single = bool(members) and isinstance(members[0], MlpParams)
+    groups = [members] if single else list(members)
+    if not groups or not all(groups) or len(set(map(len, groups))) > 1:
+        raise ValueError("ensemble_predict: empty member list or lists of unequal size")
+    preds = _blockwise(groups, x)
+    return preds[0] if single else preds
 
 
 def save_params(params, path):

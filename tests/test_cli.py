@@ -351,13 +351,39 @@ def test_train_removes_an_earlier_runs_recalibration(tmp_path, capsys):
     assert "recalibration" not in capsys.readouterr().out
 
 
+def test_recalibrate_after_a_default_sweep_fits_every_lambda(tmp_path):
+    # the sweep records the grid it ran, not null, which recalibrate would
+    # read as train's [0, 20]
+    out = tmp_path / "s"
+    cfg = write_config(tmp_path, {"synth_n": 60, "epochs": 1, "n_splits": 1, "mc_passes": 2})
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    lambdas = [0.0, 1.0, 5.0, 10.0, 20.0]
+    assert json.loads((out / "run_config.json").read_text())["lambdas"] == lambdas
+    assert main(["recalibrate", "--out", str(out)]) == 0
+    assert [float(r["lam"]) for r in read_rows(out / "recalib.csv")] == lambdas
+    assert sorted(p.name for p in (out / "maps").iterdir()) == sorted(
+        f"mc_dropout_lam{lam:g}_split0.csv" for lam in lambdas)
+
+
+def test_train_after_a_sweep_leaves_only_its_own_files(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {"synth_n": 60, "epochs": 1, "n_splits": 1, "mc_passes": 2})
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["report", "--out", str(out)]) == 0
+    assert main(["train", "--config", cfg, "--lambda", "3", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics.csv", "models", "pits", "reliability.csv", "run_config.json", "summary.csv"]
+    for kind, suffix in (("models", "bin"), ("pits", "npy")):
+        assert [p.name for p in (out / kind).iterdir()] == [f"mc_dropout_lam3_split0.{suffix}"]
+
+
 def test_recalibrate_without_stored_pits_exits_2_writing_nothing(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     cfg = write_config(tmp_path, {"synth_n": 60, "epochs": 1, "n_splits": 2, "mc_passes": 2})
     assert main(["train", "--config", cfg, "--out", str(out)]) == 0
     # as in a run directory written before train stored them
     shutil.rmtree(out / "pits")
-    calls = count_mc_calls(monkeypatch)
+    calls = count_predict_calls(monkeypatch)
     capsys.readouterr()
     assert main(["recalibrate", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -445,7 +471,7 @@ def test_recalibrate_reads_any_pit_file_or_names_it_once(tiny_run, tmp_path, cap
     # split 1's, so a prediction of split 0 would come first if files were read per split
     path = run / "pits" / "mc_dropout_lam0_split1.npy"
     path.write_bytes(body)
-    calls = count_mc_calls(monkeypatch)
+    calls = count_predict_calls(monkeypatch)
     capsys.readouterr()
     try:
         with warnings.catch_warnings():
@@ -486,55 +512,77 @@ def test_recalibrate_on_a_wider_csv_exits_1_naming_the_run(tmp_path, capsys):
     assert "Traceback" not in err and not (out / "maps").exists()
 
 
-def count_mc_calls(monkeypatch):
-    """The network count of every `cli.mc_dropout_predict` call, 1 for a
-    single network."""
-    calls, predict = [], cli.mc_dropout_predict
+def count_predict_calls(monkeypatch, model="mc_dropout"):
+    """The group count of every `cli` call to `model`'s predict function,
+    1 for a single network or member list."""
+    name = "ensemble_predict" if model == "ensemble" else "mc_dropout_predict"
+    calls, predict = [], getattr(cli, name)
 
-    def spy(nets, *args, **kwargs):
-        calls.append(len(nets) if isinstance(nets, list) else 1)
-        return predict(nets, *args, **kwargs)
+    def spy(groups, *args, **kwargs):
+        many = isinstance(groups[0] if model == "ensemble" else groups, list)
+        calls.append(len(groups) if many else 1)
+        return predict(groups, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "mc_dropout_predict", spy)
+    monkeypatch.setattr(cli, name, spy)
     return calls
 
 
 @pytest.mark.parametrize("calib_split", ["train", "holdout"])
 def test_every_lambda_of_a_split_is_predicted_in_one_call(tmp_path, monkeypatch, calib_split):
-    # S splits and L lambdas, each call of L networks: in train one per split
-    # for the test rows, and in recalibrate, which reads the test PITs train
-    # saved, one per split for the calibration rows
+    # S splits and L lambdas, each call of L networks or member lists: in
+    # train one per split for the test rows, and in recalibrate, which reads
+    # the test PITs train saved, one per split for the calibration rows
     splits, lambdas = 2, [0.0, 5.0, 20.0]
-    out = tmp_path / "run"
-    cfg = write_config(tmp_path, {"n_splits": splits, "lambdas": lambdas, "epochs": 1,
-                                  "calib_split": calib_split})
-    calls = count_mc_calls(monkeypatch)
-    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
-    assert calls == [len(lambdas)] * splits
-    calls.clear()
-    assert main(["recalibrate", "--out", str(out)]) == 0
-    assert calls == [len(lambdas)] * splits
+    for model in cli.MODELS:
+        out = tmp_path / model
+        cfg = write_config(tmp_path, {"n_splits": splits, "lambdas": lambdas, "epochs": 1,
+                                      "calib_split": calib_split, "model": model,
+                                      "ensemble_size": 2})
+        calls = count_predict_calls(monkeypatch, model)
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert calls == [len(lambdas)] * splits
+        calls.clear()
+        assert main(["recalibrate", "--out", str(out)]) == 0
+        assert calls == [len(lambdas)] * splits
+
+
+def overflow_sigma(params):
+    """`params` with a scale head of 1e200, whose square overflows in the
+    mixture."""
+    params.w3.value.fill(0.0)
+    params.b3.value[1] = 1e200
+
+
+def overflow_layer_2(params):
+    """`params` with a layer 2 that overflows."""
+    params.b1.value.fill(1.0)
+    params.w2.value.fill(1e308)
 
 
 def test_a_failure_in_the_shared_prediction_names_its_lambda(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "run"
-    cfg = write_config(tmp_path, {"n_splits": 2, "lambdas": [0.0, 20.0], "epochs": 1})
-    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
-    # only split 0's lambda-20 network overflows layer 2, inside the call it
-    # shares with lambda 0
-    path = out / "models" / "mc_dropout_lam20_split0.bin"
-    params = cli.load_params(path)
-    params.b1.value.fill(1.0)
-    params.w2.value.fill(1e308)
-    cli.save_params(params, path)
-    calls = count_mc_calls(monkeypatch)
-    capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["recalibrate", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: split 0, lam=20: mlp: non-finite values in a pre-activation\n")
-    # the shared call, then lambda 0 and lambda 20 alone
-    assert calls == [2, 1, 1] and not (out / "maps").exists()
+    for model, damage, message in (
+        ("mc_dropout", overflow_layer_2, "mlp: non-finite values in a pre-activation"),
+        ("mc_dropout", overflow_sigma, "GaussianPrediction: non-finite parameters"),
+        ("ensemble", overflow_layer_2, "mlp: non-finite values in a pre-activation"),
+    ):
+        out = tmp_path / f"{model}-{damage.__name__}"
+        cfg = write_config(tmp_path, {"n_splits": 2, "lambdas": [0.0, 20.0], "epochs": 1,
+                                      "model": model, "ensemble_size": 2})
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        # only split 0's lambda-20 network, or its last ensemble member,
+        # fails, inside the call it shares with lambda 0
+        run_cfg = cli.ExperimentConfig(model=model, ensemble_size=2)
+        path = cli._artifact_paths(out, run_cfg, 20.0, 0)[-1]
+        params = cli.load_params(path)
+        damage(params)
+        cli.save_params(params, path)
+        calls = count_predict_calls(monkeypatch, model)
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["recalibrate", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: split 0, lam=20: {message}\n"
+        # the shared call only: no network runs again to find the lambda
+        assert calls == [2] and not (out / "maps").exists()
 
 
 def write_table(path, values, cell="{!r}"):

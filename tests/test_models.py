@@ -557,8 +557,11 @@ def test_mc_dropout_passes_must_be_an_integer(passes):
 def test_mc_dropout_rejects_an_empty_network_list():
     with pytest.raises(ValueError, match="mc_dropout_predict: empty network list"):
         mc_dropout_predict([], np.ones((2, 2)))
-    with pytest.raises(ValueError, match="ensemble_predict: empty member list"):
-        ensemble_predict([], np.ones((2, 2)))
+    params = init_mlp(2, np.random.default_rng(0))
+    for members in ([], [[]], [[params], []], [[params], [params, params]]):
+        with pytest.raises(ValueError, match="ensemble_predict: empty member list or lists of "
+                                             "unequal size"):
+            ensemble_predict(members, np.ones((2, 2)))
 
 
 @settings(max_examples=10, deadline=None)
@@ -571,17 +574,26 @@ def test_mc_dropout_rejects_an_empty_network_list():
     st.integers(min_value=1, max_value=10),
     st.sampled_from([0.05, 0.25, 0.5, 0.9]),
     st.booleans(),
+    st.sampled_from(["mc_dropout", "ensemble"]),
 )
-# at one row numpy adds a network's 8 or more passes pairwise, and several
-# networks' side by side row by row, unless each is mixed alone
-@example(seed=0, k=2, d=1, n=1, passes=8, rate=0.05, view=False)
+# at one row numpy adds 8 or more passes or members pairwise, and several
+# groups' side by side row by row
+@example(seed=0, k=2, d=1, n=1, passes=8, rate=0.05, view=False, model="mc_dropout")
+@example(seed=0, k=2, d=1, n=1, passes=8, rate=0.05, view=False, model="ensemble")
 def test_mc_dropout_predict_of_a_list_is_each_network_alone_bitwise(seed, k, d, n, passes,
-                                                                    rate, view):
-    # one call draws each mask once for all k networks; each prediction
-    # must have the bits of its network's call alone, on an array or on a
-    # standardized row view, across the 512-row block edges
+                                                                    rate, view, model):
+    # one call predicts k MC-dropout networks, drawing each mask once for
+    # all, or k ensembles of `passes` members each; each prediction must
+    # have the bits of its network's or ensemble's call alone, on an array
+    # or on a standardized row view, across the 512-row block edges
     rng = np.random.default_rng(seed)
-    nets = [random_params(rng, d) for _ in range(k)]
+    if model == "ensemble":
+        groups = [[random_params(rng, d) for _ in range(passes)] for _ in range(k)]
+        predict_all = ensemble_predict
+    else:
+        groups = [random_params(rng, d) for _ in range(k)]
+        def predict_all(nets, x):
+            return mc_dropout_predict(nets, x, passes=passes, dropout_rate=rate, seed=seed)
     x = rng.normal(size=(n + 3, d)) * rng.uniform(0.5, 20.0, d)
     if view:
         ds = Dataset(x, rng.normal(size=n + 3))
@@ -589,16 +601,16 @@ def test_mc_dropout_predict_of_a_list_is_each_network_alone_bitwise(seed, k, d, 
         x = standardized_view(ds, np.sort(rng.permutation(n + 3)[:n]), tf).features
     else:
         x = x[:n]
-    got = mc_dropout_predict(nets, x, passes=passes, dropout_rate=rate, seed=seed)
+    got = predict_all(groups, x)
     assert isinstance(got, list) and len(got) == k
-    for net, pred in zip(nets, got):
-        alone = mc_dropout_predict(net, x, passes=passes, dropout_rate=rate, seed=seed)
+    for group, pred in zip(groups, got):
+        alone = predict_all(group, x)
         assert_same_bytes([pred.mu, pred.sigma], [alone.mu, alone.sigma])
 
 
 def test_mc_dropout_predict_of_a_list_mixes_each_block_once(monkeypatch):
-    # the k networks' means and sigmas of a block go to one aggregate_mc
-    # call, laid out as (passes, k * block rows)
+    # each network's means and sigmas of a block go to an aggregate_mc call
+    # of their own, laid out as (passes, block rows)
     shapes = []
 
     def spy(mus, sigmas):
@@ -609,7 +621,7 @@ def test_mc_dropout_predict_of_a_list_mixes_each_block_once(monkeypatch):
     rng = np.random.default_rng(0)
     nets = [random_params(rng, 3) for _ in range(3)]
     mc_dropout_predict(nets, rng.normal(size=(1025, 3)), passes=4)
-    assert shapes == [(4, 3 * 341), (4, 3 * 342), (4, 3 * 342)]
+    assert shapes == [(4, 341)] * 3 + [(4, 342)] * 6
 
 
 def traced_peak(forward, n, **kwargs):
